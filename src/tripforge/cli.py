@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 from . import evaluation, io
-from .candidates import CandidateError, HistoryRecord, TripHistory, build_candidate_set, history_lookup
+from .candidates import CandidateError
 from .evaluation import EvalConfig
-from .planner import PlannerError, k_top_routes
-from .sampler import AnnealingSchedule, FrozenChainError, SamplerConfig, run
+from .planner import PlannerError
+from .sampler import FrozenChainError, run
 from .synth import SynthCollection, SynthConfig, SynthError, build_grid_network, generate_collection
 
 
@@ -113,46 +113,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(
-        iterations=args.iterations,
-        schedule=AnnealingSchedule(l0=args.l0, decay=args.decay, l_min=args.l_min),
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        epsilon=args.epsilon,
-    )
-
-
 def cmd_generate(args) -> int:
+    cfg = _eval_config(args)
     network = io.read_network(args.network)
     stops_by_id = {s.stop_id: s for s in network.stops}
     triples = io.read_demand(args.demand, stops_by_id)
     if not triples:
         raise ConfigError(f"demand file {args.demand} is empty")
     spec = io.read_targets(args.targets)
+    history_days = io.read_collection(args.history_dir, network)[1] if args.history_dir else []
+    candidate_sets, kept, dropped = evaluation.build_candidates(
+        network, history_days, triples, cfg
+    )
 
-    history = TripHistory([])
-    if args.history_dir:
-        _, days = io.read_collection(args.history_dir, network)
-        for d in days:
-            for route in d.routes:
-                history.add(HistoryRecord(route=route, day=d.day, day_type=d.day_type))
-
-    candidate_sets = []
-    kept = []
-    dropped = []
-    for triple in triples:
-        planner_routes = k_top_routes(network, triple, k=args.planner_k)
-        hist_routes = history_lookup(history, triple, args.slot_width) if len(history) else []
-        if not planner_routes and not hist_routes:
-            dropped.append(triple.demand_id)
-            continue
-        candidate_sets.append(build_candidate_set(triple, planner_routes, hist_routes, args.lambda_mix))
-        kept.append(triple)
-    if not candidate_sets:
-        raise SynthError("no demand could be served by planner or history")
-
-    trace = run(candidate_sets, spec, _sampler_config(args))
+    trace = run(candidate_sets, spec, cfg.sampler_config())
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -172,21 +146,25 @@ def cmd_generate(args) -> int:
 
 
 def _eval_config(args) -> EvalConfig:
-    return EvalConfig(
-        iterations=args.iterations,
-        checkpoint_every=args.checkpoint_every,
-        seed=args.seed,
-        l0=args.l0,
-        decay=args.decay,
-        l_min=args.l_min,
-        epsilon=args.epsilon,
-        planner_k=args.planner_k,
-        lambda_mix=args.lambda_mix,
-        slot_width_s=args.slot_width,
-    )
+    try:
+        return EvalConfig(
+            iterations=args.iterations,
+            checkpoint_every=args.checkpoint_every,
+            seed=args.seed,
+            l0=args.l0,
+            decay=args.decay,
+            l_min=args.l_min,
+            epsilon=args.epsilon,
+            planner_k=args.planner_k,
+            lambda_mix=args.lambda_mix,
+            slot_width_s=args.slot_width,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_eval(args) -> int:
+    cfg = _eval_config(args)
     network, days = io.read_collection(args.history_dir)
     if not days:
         raise ConfigError(f"no day files found in {args.history_dir}")
@@ -197,13 +175,14 @@ def cmd_eval(args) -> int:
         trips_per_day=max(len(d.triples) for d in days),
     )
     collection = SynthCollection(config=synth_cfg, days=tuple(days))
-    cfg = _eval_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "oneday":
         if args.test_day is None:
             raise ConfigError("--test-day is required for mode 'oneday'")
+        if all(d.day != args.test_day for d in days):
+            raise ConfigError(f"--test-day {args.test_day}: no such day in {args.history_dir}")
         result = evaluation.one_day_eval(collection, args.test_day, cfg)
         io.write_trace(result.trace, out / "trace.csv")
         records = []
@@ -276,17 +255,18 @@ def _write_histogram_series(result, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser, iterations_default: int) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (all runs are reproducible)")
-    p.add_argument("--iterations", type=int, default=iterations_default, help="proposal count")
-    p.add_argument("--decay", type=float, default=0.99, help="temperature decay per sweep")
-    p.add_argument("--l0", type=float, default=1.0, help="initial temperature")
-    p.add_argument("--l-min", dest="l_min", type=float, default=1e-3, help="temperature floor")
-    p.add_argument("--checkpoint-every", type=int, default=25_000, help="trace sampling period")
-    p.add_argument("--epsilon", type=float, default=1e-9, help="objective stabilizer near zero")
-    p.add_argument("--planner-k", type=int, default=5, help="planner recommendations per demand")
-    p.add_argument("--lambda-mix", type=float, default=0.5, help="planner share of candidate mass")
-    p.add_argument("--slot-width", type=int, default=1200, help="history match window, seconds")
+def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
+    d = EvalConfig()
+    p.add_argument("--seed", type=int, default=d.seed, help="random seed (all runs are reproducible)")
+    p.add_argument("--iterations", type=int, default=d.iterations, help="proposal count")
+    p.add_argument("--decay", type=float, default=d.decay, help="temperature decay per sweep")
+    p.add_argument("--l0", type=float, default=d.l0, help="initial temperature")
+    p.add_argument("--l-min", dest="l_min", type=float, default=d.l_min, help="temperature floor")
+    p.add_argument("--checkpoint-every", type=int, default=d.checkpoint_every, help="trace sampling period")
+    p.add_argument("--epsilon", type=float, default=d.epsilon, help="objective stabilizer near zero")
+    p.add_argument("--planner-k", type=int, default=d.planner_k, help="planner recommendations per demand")
+    p.add_argument("--lambda-mix", type=float, default=d.lambda_mix, help="planner share of candidate mass")
+    p.add_argument("--slot-width", type=int, default=d.slot_width_s, help="history match window, seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--targets", required=True, help="targets spec file")
     p_gen.add_argument("--history-dir", default=None, help="optional trip history directory")
     p_gen.add_argument("--out-dir", required=True, help="output directory")
-    _add_sampler_flags(p_gen, iterations_default=100_000)
+    _add_sampler_flags(p_gen)
     p_gen.set_defaults(fn=cmd_generate)
 
     p_eval = sub.add_parser("eval", help="run an evaluation protocol on a collection")
@@ -316,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out-dir", required=True, help="output directory")
     p_eval.add_argument("--test-day", type=int, default=None, help="test day for mode 'oneday'")
     p_eval.add_argument("--day-types", default="working", help="comma list for mode 'online'")
-    _add_sampler_flags(p_eval, iterations_default=100_000)
+    _add_sampler_flags(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
     return parser
 

@@ -8,7 +8,7 @@ earlier days; the test day's observed routes enter only the final report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .metrics import (
 from .model import CandidateSet, ODTriple, Route
 from .planner import TransitNetwork, k_top_routes
 from .sampler import AnnealingSchedule, RunTrace, SamplerConfig, draw_assignment, run
-from .synth import SynthCollection, WORKING, WEEKEND
+from .synth import SynthCollection, WORKING
 
 
 class EvalError(ValueError):
@@ -54,8 +54,14 @@ class EvalConfig:
     planner_k: int = 5
     lambda_mix: float = 0.5
     slot_width_s: int = 1200
-    pooled_day_types: bool = False
     joint_threshold_s: int = 1800
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.lambda_mix <= 1.0:
+            raise ValueError(f"lambda_mix must lie in [0, 1], got {self.lambda_mix}")
+        if self.slot_width_s <= 0:
+            raise ValueError(f"slot_width_s must be positive, got {self.slot_width_s}")
+        self.sampler_config()  # validates the sampler and schedule fields
 
     def sampler_config(self, seed_offset: int = 0) -> SamplerConfig:
         return SamplerConfig(
@@ -208,8 +214,53 @@ class OneDayResult:
         return self.trace.best_error
 
 
-def _target_day_types(day_type: str, pooled: bool) -> frozenset[str]:
-    return frozenset((WORKING, WEEKEND)) if pooled else frozenset((day_type,))
+def _target_spec(days) -> MismatchSpec:
+    """Empirical targets pooled over the observed routes of `days`."""
+    routes = [r for d in days for r in d.routes]
+    return MismatchSpec(
+        entries=tuple(
+            MismatchEntry(tag=tag, target=build_empirical_target(routes, tag), weight=1.0)
+            for tag in CHARACTERISTICS
+        )
+    )
+
+
+def build_candidates(
+    network: TransitNetwork,
+    history_days,
+    triples,
+    cfg: EvalConfig,
+) -> tuple[tuple[CandidateSet, ...], tuple[ODTriple, ...], tuple[str, ...]]:
+    """Candidate sets for each demand from the planner's top `cfg.planner_k`
+    routes and the observed routes of `history_days` within
+    `cfg.slot_width_s` of its departure.  A demand with neither gets history
+    routes from the whole service day; a demand still without any is dropped.
+
+    Returns (candidate sets, kept triples, dropped demand ids).
+    """
+    history = TripHistory(
+        HistoryRecord(route=r, day=d.day, day_type=d.day_type)
+        for d in history_days
+        for r in d.routes
+    )
+    candidate_sets = []
+    kept = []
+    dropped = []
+    for triple in triples:
+        planner_routes = k_top_routes(network, triple, k=cfg.planner_k)
+        hist_routes = history_lookup(history, triple, cfg.slot_width_s)
+        if not planner_routes and not hist_routes:
+            hist_routes = history_lookup(history, triple, 86_400)
+        if not planner_routes and not hist_routes:
+            dropped.append(triple.demand_id)
+            continue
+        candidate_sets.append(
+            build_candidate_set(triple, planner_routes, hist_routes, cfg.lambda_mix)
+        )
+        kept.append(triple)
+    if not candidate_sets:
+        raise EvalError("no demand could be given any candidate route")
+    return tuple(candidate_sets), tuple(kept), tuple(dropped)
 
 
 def prepare_day(
@@ -222,63 +273,26 @@ def prepare_day(
     days.  `test_triples` overrides the demand (the default reads the test
     day's triples — never its routes).
 
-    Targets pool prior days of the test day's type (or of both types when
-    cfg.pooled_day_types is set).  Candidate history always draws on all
-    prior days: the day-type split concerns the desired distributions, not
-    which routes exist.
+    Targets pool the prior days of the test day's type.  Candidate history
+    draws on all prior days: the day-type split concerns the desired
+    distributions, not which routes exist.
     """
     test = collection.day(test_day)
-    target_types = _target_day_types(test.day_type, cfg.pooled_day_types)
     prior_all = [d for d in collection.days if d.day < test_day]
-    prior_target = [d for d in prior_all if d.day_type in target_types]
+    prior_target = [d for d in prior_all if d.day_type == test.day_type]
     if not prior_target:
-        raise EvalError(
-            f"day {test_day}: no prior {'/'.join(sorted(target_types))} day to learn from"
-        )
-
-    target_routes = [r for d in prior_target for r in d.routes]
-    spec = MismatchSpec(
-        entries=tuple(
-            MismatchEntry(tag=tag, target=build_empirical_target(target_routes, tag), weight=1.0)
-            for tag in CHARACTERISTICS
-        )
-    )
-
-    history = TripHistory(
-        HistoryRecord(route=r, day=d.day, day_type=d.day_type)
-        for d in prior_all
-        for r in d.routes
-    )
-    all_types = frozenset((WORKING, WEEKEND))
-
-    network = collection.config.network
+        raise EvalError(f"day {test_day}: no prior {test.day_type} day to learn from")
     triples = tuple(test_triples) if test_triples is not None else test.triples
-    candidate_sets = []
-    kept = []
-    dropped = []
-    for triple in triples:
-        planner_routes = k_top_routes(network, triple, k=cfg.planner_k)
-        hist_routes = history_lookup(history, triple, cfg.slot_width_s, all_types)
-        if not planner_routes and not hist_routes:
-            # No candidate in the slot: widen to the whole service day before
-            # giving up on the demand.
-            hist_routes = history_lookup(history, triple, 86_400, all_types)
-        if not planner_routes and not hist_routes:
-            dropped.append(triple.demand_id)
-            continue
-        candidate_sets.append(
-            build_candidate_set(triple, planner_routes, hist_routes, cfg.lambda_mix)
-        )
-        kept.append(triple)
-    if not candidate_sets:
-        raise EvalError(f"day {test_day}: no demand could be given any candidate route")
+    candidate_sets, kept, dropped = build_candidates(
+        collection.config.network, prior_all, triples, cfg
+    )
     return PreparedDay(
         test_day=test_day,
         day_type=test.day_type,
-        spec=spec,
-        candidate_sets=tuple(candidate_sets),
-        kept_triples=tuple(kept),
-        dropped_demands=tuple(dropped),
+        spec=_target_spec(prior_target),
+        candidate_sets=candidate_sets,
+        kept_triples=kept,
+        dropped_demands=dropped,
         prior_days=tuple(d.day for d in prior_target),
     )
 
@@ -405,28 +419,32 @@ def daytype_mix_eval(
     collection: SynthCollection,
     cfg: EvalConfig | None = None,
 ) -> DayTypeMixResult:
-    """Compare same-type targets against targets pooled over both day types,
-    per test day."""
+    """Compare same-type targets against targets pooled over all prior days,
+    per test day.
+
+    Both chains run on the same candidate sets with the same sampler seed, so
+    only the targets differ.  When every prior day has the test day's type the
+    two targets are the same and the chain runs once.
+    """
     cfg = cfg or EvalConfig()
-    types_present = {d.day_type for d in collection.days}
-    matched_cfg = replace(cfg, pooled_day_types=False)
-    pooled_cfg = replace(cfg, pooled_day_types=True)
     rows = []
     for d in collection.days:
         has_same_prior = any(p.day < d.day and p.day_type == d.day_type for p in collection.days)
         if not has_same_prior:
             continue
-        matched = one_day_eval(collection, d.day, matched_cfg)
-        if len(types_present) == 1:
-            pooled_error = matched.final_error
+        prepared = prepare_day(collection, d.day, cfg)
+        sampler_cfg = cfg.sampler_config(seed_offset=d.day)
+        matched_error = run(prepared.candidate_sets, prepared.spec, sampler_cfg).best_error
+        prior_all = [p for p in collection.days if p.day < d.day]
+        if len(prior_all) == len(prepared.prior_days):
+            pooled_error = matched_error
         else:
-            pooled = one_day_eval(collection, d.day, pooled_cfg)
-            pooled_error = pooled.final_error
+            pooled_error = run(prepared.candidate_sets, _target_spec(prior_all), sampler_cfg).best_error
         rows.append(
             DayTypeMixRow(
                 test_day=d.day,
                 day_type=d.day_type,
-                matched_error=matched.final_error,
+                matched_error=matched_error,
                 pooled_error=pooled_error,
             )
         )

@@ -453,8 +453,13 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
         parts = stem.split("_")
         if len(parts) != 3:
             raise FormatError(trips_path, None, f"bad day file name {stem!r}")
-        day = int(parts[1])
+        try:
+            day = int(parts[1])
+        except ValueError:
+            raise FormatError(trips_path, None, f"bad day {parts[1]!r} in file name") from None
         day_type = parts[2]
+        if day_type not in (WORKING, WEEKEND):
+            raise FormatError(trips_path, None, f"unknown day_type {day_type!r} in file name")
         records = read_trips(trips_path, stops_by_id, source_tag="synthetic")
         demand_path = root / f"{stem}.demand"
         if not demand_path.exists():

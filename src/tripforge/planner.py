@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .metrics import full_trip_time
 from .model import Leg, ODTriple, Route, Stop, great_circle_m
@@ -78,6 +79,12 @@ class TransitNetwork:
                 return s
         raise KeyError(stop_id)
 
+    @cached_property
+    def _index(self) -> _NetworkIndex:
+        """The planner's derived index, built on first use and owned by the
+        network, so it lives exactly as long as the network does."""
+        return _NetworkIndex(self)
+
 
 # ---------------------------------------------------------------------------
 # Derived index, cached per network object.
@@ -130,17 +137,6 @@ class _SkeletonCache:
     complete: list  # sorted by (static_cost, tie, skeleton)
     exhausted_ceiling: int
     space_exhausted: bool
-
-
-_INDEX_CACHE: dict[int, _NetworkIndex] = {}
-
-
-def _index_for(net: TransitNetwork) -> _NetworkIndex:
-    idx = _INDEX_CACHE.get(id(net))
-    if idx is None or idx.net is not net:
-        idx = _NetworkIndex(net)
-        _INDEX_CACHE[id(net)] = idx
-    return idx
 
 
 def _enumerate_skeletons(
@@ -251,7 +247,7 @@ def k_top_routes(
     """
     if k < 1:
         raise PlannerError("k must be at least 1")
-    index = _index_for(net)
+    index = net._index
     try:
         o = index.pos[triple.origin.stop_id]
         d = index.pos[triple.destination.stop_id]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -192,6 +193,28 @@ class SynthConfig:
             return self.day_types[day]
         return WEEKEND if (self.start_weekday + day) % 7 >= 5 else WORKING
 
+    @cached_property
+    def _od_pool(self) -> list[tuple[Stop, Stop]]:
+        """Origin-destination pairs the planner can serve at noon, in a
+        seed-fixed order; drawn once per config."""
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0xD0D,)))
+        stops = self.network.stops
+        pairs = [(a, b) for a in stops for b in stops if a.stop_id != b.stop_id]
+        order = rng.permutation(len(pairs))
+        want = self.od_pool_size if self.od_pool_size is not None else len(pairs)
+        pool: list[tuple[Stop, Stop]] = []
+        probe_t = 12 * 3600
+        for idx in order:
+            o, d = pairs[idx]
+            probe = ODTriple(origin=o, destination=d, depart_time=probe_t, demand_id="probe")
+            if k_top_routes(self.network, probe, k=1):
+                pool.append((o, d))
+                if len(pool) >= want:
+                    break
+        if not pool:
+            raise SynthError("no reachable origin-destination pair in the network")
+        return pool
+
 
 @dataclass(frozen=True)
 class DayData:
@@ -216,33 +239,6 @@ class SynthCollection:
 # ---------------------------------------------------------------------------
 # Generation.
 # ---------------------------------------------------------------------------
-
-_POOL_CACHE: dict[int, tuple[SynthConfig, list[tuple[Stop, Stop]]]] = {}
-
-
-def _od_pool(cfg: SynthConfig) -> list[tuple[Stop, Stop]]:
-    hit = _POOL_CACHE.get(id(cfg))
-    if hit is not None and hit[0] is cfg:
-        return hit[1]
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xD0D,)))
-    stops = cfg.network.stops
-    pairs = [(a, b) for a in stops for b in stops if a.stop_id != b.stop_id]
-    order = rng.permutation(len(pairs))
-    want = cfg.od_pool_size if cfg.od_pool_size is not None else len(pairs)
-    pool: list[tuple[Stop, Stop]] = []
-    probe_t = 12 * 3600
-    for idx in order:
-        o, d = pairs[idx]
-        probe = ODTriple(origin=o, destination=d, depart_time=probe_t, demand_id="probe")
-        if k_top_routes(cfg.network, probe, k=1):
-            pool.append((o, d))
-            if len(pool) >= want:
-                break
-    if not pool:
-        raise SynthError("no reachable origin-destination pair in the network")
-    _POOL_CACHE[id(cfg)] = (cfg, pool)
-    return pool
-
 
 def _reverse_line_map(net: TransitNetwork) -> dict[str, str]:
     by_seq = {line.stop_ids: line.line_id for line in net.lines}
@@ -319,7 +315,7 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
         raise ValueError(f"day {day} outside the configured range")
     day_type = cfg.day_type(day)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(day,)))
-    pool = _od_pool(cfg)
+    pool = cfg._od_pool
     reverse_of = _reverse_line_map(cfg.network)
 
     weekend = day_type == WEEKEND

@@ -1,21 +1,36 @@
+import re
+
 import numpy as np
 import pytest
 
 from tripforge import (
     DEFAULT_EDGES,
     FULL_TIME,
+    EvalConfig,
     MismatchEntry,
     MismatchSpec,
+    SynthCollection,
     SynthConfig,
     beta_target,
     build_empirical_target,
     build_grid_network,
     gaussian_mixture_target,
     poisson_target,
+    prepare_day,
 )
 from tripforge import io as tfio
-from tripforge.cli import main, parse_synth_config
+from tripforge.cli import _eval_config, build_parser, main, parse_synth_config
 from tripforge.synth import WORKING, generate_collection
+
+
+@pytest.fixture(scope="module")
+def working_days():
+    """Two 1 000-demand working days; day 1 has demands that only the whole-day
+    history fallback can serve."""
+    net = build_grid_network(rows=4, cols=5, seed=0)
+    cfg = SynthConfig(network=net, days=2, day_types=(WORKING, WORKING),
+                      trips_per_day=1000, seed=5)
+    return generate_collection(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +286,33 @@ class TestCmdGenerate:
         assert rc == 0
 
 
+    def test_keeps_the_demands_prepare_day_keeps(self, tmp_path, working_days):
+        # generate on day 1's demand with day 0 as history is the CLI form of
+        # prepare_day(day 1): both must serve the same demands
+        prepared = prepare_day(working_days, 1, EvalConfig())
+        history = tmp_path / "hist"
+        tfio.write_collection(
+            SynthCollection(config=working_days.config, days=working_days.days[:1]), history
+        )
+        tfio.write_demand(working_days.days[1].triples, tmp_path / "day1.demand")
+        tfio.write_targets(prepared.spec, tmp_path / "targets.txt")
+        out = tmp_path / "gen"
+        rc = main([
+            "generate",
+            "--network", str(history / "network.txt"),
+            "--demand", str(tmp_path / "day1.demand"),
+            "--targets", str(tmp_path / "targets.txt"),
+            "--history-dir", str(history),
+            "--iterations", "0",
+            "--out-dir", str(out),
+        ])
+        assert rc == 0
+        stops = {s.stop_id: s for s in working_days.config.network.stops}
+        assigned = [rec[2] for rec in tfio.read_trips(out / "assigned.trips", stops)]
+        assert assigned == [t.demand_id for t in prepared.kept_triples]
+        assert not (out / "dropped.txt").exists() and not prepared.dropped_demands
+
+
 class TestCmdEval:
     def test_oneday_writes_tables(self, tmp_path, generated_inputs):
         out = tmp_path / "ev"
@@ -300,6 +342,51 @@ class TestCmdEval:
         assert rc == 0
         rows = (out / "online.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + day 1 (day 0 has no prior)
+
+    def test_default_flags_lower_the_error(self, tmp_path, working_days, capsys):
+        tfio.write_collection(working_days, tmp_path / "c")
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(tmp_path / "c"),
+            "--test-day", "1",
+            "--out-dir", str(tmp_path / "ev"),
+        ])
+        assert rc == 0
+        initial, best = re.search(r"error (\S+) -> (\S+)", capsys.readouterr().out).groups()
+        assert float(best) <= 0.5 * float(initial)
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--network", "n", "--demand", "d", "--targets", "t", "--out-dir", "o"],
+        ["eval", "--mode", "oneday", "--history-dir", "h", "--out-dir", "o"],
+    ])
+    def test_flag_defaults_are_the_eval_config_defaults(self, command):
+        assert _eval_config(build_parser().parse_args(command)) == EvalConfig()
+
+    @pytest.mark.parametrize("flags, rename", [
+        (["--checkpoint-every", "0"], None),
+        (["--decay", "0"], None),
+        (["--slot-width", "0"], None),
+        (["--lambda-mix", "2"], None),
+        (["--test-day", "9"], None),
+        ([], ("day_001_working", "day_x2_working")),
+        ([], ("day_000_working", "day_000_holiday")),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, generated_inputs, capsys, flags, rename):
+        root = generated_inputs["root"]
+        if rename is not None:
+            old, new = rename
+            for suffix in (".trips", ".demand"):
+                (root / f"{old}{suffix}").rename(root / f"{new}{suffix}")
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(root),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+            *flags,  # a repeated flag overrides the one above
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_mode_rejected(self, tmp_path, generated_inputs, capsys):
         rc = main([

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,16 @@ class TestKTopRoutes:
         triple = ODTriple(origin=two_line_net.stops[0], destination=two_line_net.stops[1],
                           depart_time=23 * 3600, demand_id="late")
         assert k_top_routes(two_line_net, triple, k=2) == []
+
+    def test_queried_network_can_be_freed(self, two_line_net):
+        net = TransitNetwork(stops=two_line_net.stops, lines=two_line_net.lines)
+        triple = ODTriple(origin=net.stops[0], destination=net.stops[1],
+                          depart_time=30_000, demand_id="t")
+        assert k_top_routes(net, triple, k=1)
+        ref = weakref.ref(net)
+        del net
+        gc.collect()
+        assert ref() is None
 
 
 def random_network(rng) -> TransitNetwork:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,14 @@ class TestConfig:
         assert labels.count(WORKING) == 17
         assert labels.count(WEEKEND) == 8
         assert labels[0] == WEEKEND and labels[1] == WEEKEND and labels[2] == WORKING
+
+    def test_used_config_can_be_freed(self, small_net):
+        cfg = small_cfg(small_net, trips_per_day=20, od_pool_size=5)
+        generate_day(cfg, 0)
+        ref = weakref.ref(cfg)
+        del cfg
+        gc.collect()
+        assert ref() is None
 
 
 class TestGenerateDay:
