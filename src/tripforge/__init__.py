@@ -42,7 +42,6 @@ from .metrics import (
     angle_ratio,
     apply_delta,
     beta_target,
-    bin_index,
     build_empirical_target,
     characteristic_value,
     delta_error,

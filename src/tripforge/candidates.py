@@ -6,9 +6,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .model import CandidateSet, ODTriple, Route
-
-DAY_TYPES = ("working", "weekend")
+from .model import DAY_TYPES, CandidateSet, ODTriple, Route
 
 
 class CandidateError(ValueError):

@@ -20,15 +20,15 @@ from .metrics import (
     MismatchEntry,
     MismatchSpec,
     build_empirical_target,
-    characteristic_value,
+    characteristic_values,
     l1_mismatch,
     FULL_TIME,
     TRANSFER_TIME,
 )
-from .model import CandidateSet, ODTriple, Route
+from .model import WORKING, CandidateSet, ODTriple, Route
 from .planner import TransitNetwork, k_top_routes
 from .sampler import AnnealingSchedule, RunTrace, SamplerConfig, draw_assignment, run
-from .synth import SynthCollection, WORKING
+from .synth import SynthCollection
 
 
 class EvalError(ValueError):
@@ -119,10 +119,8 @@ class MismatchReport:
         raise KeyError(tag)
 
 
-def _joint_grid(routes, full_edges, transfer_edges) -> np.ndarray:
-    f = [characteristic_value(FULL_TIME, r) for r in routes]
-    t = [characteristic_value(TRANSFER_TIME, r) for r in routes]
-    grid, _, _ = np.histogram2d(f, t, bins=[full_edges, transfer_edges])
+def _joint_grid(full_times, transfer_times, full_edges, transfer_edges) -> np.ndarray:
+    grid, _, _ = np.histogram2d(full_times, transfer_times, bins=[full_edges, transfer_edges])
     return grid / grid.sum() if grid.sum() > 0 else grid
 
 
@@ -140,27 +138,28 @@ def mismatch_report(
         raise EvalError("mismatch report needs non-empty observed and simulated trips")
     if edges is None:
         edges = DEFAULT_EDGES
+    obs = {tag: characteristic_values(tag, observed) for tag in CHARACTERISTICS}
+    sim = {tag: characteristic_values(tag, simulated) for tag in CHARACTERISTICS}
     comparisons = []
     for tag in CHARACTERISTICS:
-        obs_vals = [characteristic_value(tag, r) for r in observed]
-        sim_vals = [characteristic_value(tag, r) for r in simulated]
-        h_obs = Histogram.from_values(obs_vals, edges[tag])
-        h_sim = Histogram.from_values(sim_vals, edges[tag])
+        h_obs = Histogram.from_values(obs[tag], edges[tag])
+        h_sim = Histogram.from_values(sim[tag], edges[tag])
         comparisons.append(
             CharacteristicComparison(
                 tag=tag,
                 observed=h_obs,
                 simulated=h_sim,
                 l1=l1_mismatch(h_sim, h_obs),
-                observed_mean=float(np.mean(obs_vals)),
-                simulated_mean=float(np.mean(sim_vals)),
+                observed_mean=float(np.mean(obs[tag])),
+                simulated_mean=float(np.mean(sim[tag])),
             )
         )
+    full_edges, transfer_edges = edges[FULL_TIME], edges[TRANSFER_TIME]
     joint = JointTimeGrid(
-        full_edges=edges[FULL_TIME],
-        transfer_edges=edges[TRANSFER_TIME],
-        observed_density=_joint_grid(observed, edges[FULL_TIME], edges[TRANSFER_TIME]),
-        simulated_density=_joint_grid(simulated, edges[FULL_TIME], edges[TRANSFER_TIME]),
+        full_edges=full_edges,
+        transfer_edges=transfer_edges,
+        observed_density=_joint_grid(obs[FULL_TIME], obs[TRANSFER_TIME], full_edges, transfer_edges),
+        simulated_density=_joint_grid(sim[FULL_TIME], sim[TRANSFER_TIME], full_edges, transfer_edges),
         threshold_s=threshold_s,
     )
     return MismatchReport(comparisons=tuple(comparisons), joint=joint)

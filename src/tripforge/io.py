@@ -22,10 +22,10 @@ from .metrics import (
     gaussian_mixture_target,
     poisson_target,
 )
-from .model import Leg, ODTriple, Route, Stop
+from .model import DAY_TYPES, Leg, ODTriple, Route, Stop
 from .planner import Line, TransitNetwork
 from .sampler import RunTrace
-from .synth import DayData, WORKING, WEEKEND
+from .synth import DayData
 
 
 class FormatError(ValueError):
@@ -196,7 +196,7 @@ def read_trips(path, stops_by_id: dict[str, Stop], source_tag: str = "history"):
         except ValueError:
             raise FormatError(path, lineno, f"bad day {parts[0]!r}") from None
         day_type = parts[1]
-        if day_type not in (WORKING, WEEKEND):
+        if day_type not in DAY_TYPES:
             raise FormatError(path, lineno, f"unknown day_type {day_type!r}")
         demand_id = parts[2]
         legs = []
@@ -458,7 +458,7 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
         except ValueError:
             raise FormatError(trips_path, None, f"bad day {parts[1]!r} in file name") from None
         day_type = parts[2]
-        if day_type not in (WORKING, WEEKEND):
+        if day_type not in DAY_TYPES:
             raise FormatError(trips_path, None, f"unknown day_type {day_type!r} in file name")
         records = read_trips(trips_path, stops_by_id, source_tag="synthetic")
         demand_path = root / f"{stem}.demand"

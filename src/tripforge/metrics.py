@@ -74,18 +74,22 @@ _CHARACTERISTIC_FN = {
 }
 
 
-def characteristic_value(tag: str, route: Route) -> float:
+def characteristic_values(tag: str, routes) -> np.ndarray:
+    """The tagged characteristic of each route, in route order."""
     try:
         fn = _CHARACTERISTIC_FN[tag]
     except KeyError:
         raise ValueError(f"unknown characteristic {tag!r}") from None
-    return fn(route)
+    return np.fromiter(map(fn, routes), dtype=float)
 
 
-def bin_index(edges: np.ndarray, value: float) -> int:
-    """Bin of `value` under `edges`; out-of-range values fold into the end bins."""
-    idx = int(np.searchsorted(edges, value, side="right")) - 1
-    return min(max(idx, 0), len(edges) - 2)
+def characteristic_value(tag: str, route: Route) -> float:
+    return float(characteristic_values(tag, (route,))[0])
+
+
+def _bin_indices(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Bin of each value under `edges`; out-of-range values fold into the end bins."""
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,8 @@ class Histogram:
 
     @classmethod
     def from_values(cls, values, edges: np.ndarray) -> "Histogram":
-        values = np.asarray(values, dtype=float)
-        counts = np.zeros(len(edges) - 1, dtype=np.int64)
-        if values.size:
-            idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
-            counts = np.bincount(idx, minlength=len(edges) - 1).astype(np.int64)
-        return cls.from_counts(counts, edges)
+        idx = _bin_indices(edges, np.asarray(values, dtype=float))
+        return cls.from_counts(np.bincount(idx, minlength=len(edges) - 1), edges)
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, edges: np.ndarray) -> "Histogram":
@@ -227,12 +227,11 @@ class MismatchSpec:
 
 def build_empirical_target(routes, tag: str, edges: np.ndarray | None = None) -> TargetDistribution:
     """Empirical target from the tagged characteristic of a route collection."""
-    routes = list(routes)
-    if not routes:
+    values = characteristic_values(tag, routes)
+    if not values.size:
         raise ValueError("cannot build a target from an empty route list")
     if edges is None:
         edges = DEFAULT_EDGES[tag]
-    values = [characteristic_value(tag, r) for r in routes]
     return empirical_target(Histogram.from_values(values, edges))
 
 
@@ -268,7 +267,6 @@ class ChainState:
         "_dev_sums",
         "_scales",
         "_scaled_targets",
-        "_cand_bins",
         "_flat_bins",
         "_offsets",
         "_applies",
@@ -282,45 +280,30 @@ class ChainState:
         assignment = np.asarray(assignment, dtype=np.int64).copy()
         if assignment.shape != (n,):
             raise ValueError("assignment length must match the number of demands")
-        for j, cs in enumerate(candidate_sets):
-            if not 0 <= assignment[j] < len(cs):
-                raise IndexError(f"assignment[{j}] out of range for its candidate set")
+        sizes = np.fromiter(map(len, candidate_sets), dtype=np.int64, count=n)
+        bad = np.flatnonzero((assignment < 0) | (assignment >= sizes))
+        if bad.size:
+            raise IndexError(f"assignment[{bad[0]}] out of range for its candidate set")
 
         self.candidate_sets = candidate_sets
         self.spec = spec
         self.assignment = assignment
         self.n = n
         self.weights = [cs.weights for cs in candidate_sets]
-        self.eligible = np.array([j for j, cs in enumerate(candidate_sets) if len(cs) >= 2],
-                                 dtype=np.int64)
+        self.eligible = np.flatnonzero(sizes >= 2)
 
-        k = len(spec.entries)
-        # Per-demand, per-candidate bin tuples (one bin per characteristic),
-        # plus flat arrays for vectorized scratch recomputation.
-        cand_bins: list[list[tuple[int, ...]]] = []
-        flat: list[list[int]] = [[] for _ in range(k)]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for j, cs in enumerate(candidate_sets):
-            per_cand = []
-            for route, _ in cs.candidates:
-                bins = tuple(
-                    bin_index(e.target.edges, characteristic_value(e.tag, route))
-                    for e in spec.entries
-                )
-                per_cand.append(bins)
-                for ki in range(k):
-                    flat[ki].append(bins[ki])
-            cand_bins.append(per_cand)
-            offsets[j + 1] = offsets[j] + len(per_cand)
-        self._cand_bins = cand_bins
-        self._flat_bins = [np.array(f, dtype=np.int64) for f in flat]
-        self._offsets = offsets
+        # Candidate c of demand j is row _offsets[j] + c of each
+        # characteristic's bin array.
+        self._offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self._offsets[1:])
+        routes = [route for cs in candidate_sets for route, _ in cs.candidates]
+        self._flat_bins = [
+            _bin_indices(e.target.edges, characteristic_values(e.tag, routes))
+            for e in spec.entries
+        ]
 
         self._scales = tuple(e.weight / n for e in spec.entries)
         self._scaled_targets = [n * e.target.masses for e in spec.entries]
-        self.counts = [np.zeros(len(e.target.masses), dtype=np.int64) for e in spec.entries]
-        self._dev_sums = [0.0] * k
-        self._applies = 0
         self.refresh_caches()
 
     # -- cache maintenance ---------------------------------------------------
@@ -338,8 +321,9 @@ class ChainState:
         self._resync()
 
     def _resync(self) -> None:
-        for ki, (counts, nz) in enumerate(zip(self.counts, self._scaled_targets)):
-            self._dev_sums[ki] = float(np.abs(counts - nz).sum())
+        self._dev_sums = [
+            float(np.abs(counts - nz).sum()) for counts, nz in zip(self.counts, self._scaled_targets)
+        ]
         self.cached_error = float(
             sum(s * d for s, d in zip(self._scales, self._dev_sums))
         )
@@ -361,9 +345,6 @@ class ChainState:
 
     def assigned_routes(self) -> list[Route]:
         return [cs.candidates[self.assignment[j]][0] for j, cs in enumerate(self.candidate_sets)]
-
-    def copy(self) -> "ChainState":
-        return ChainState(self.candidate_sets, self.spec, self.assignment)
 
 
 @dataclass(frozen=True)
@@ -390,11 +371,9 @@ def total_error(state: ChainState, spec: MismatchSpec) -> float:
     )
 
 
-def delta_error(state: ChainState, j: int, cand: int, spec: MismatchSpec | None = None):
+def delta_error(state: ChainState, j: int, cand: int):
     """New total error if demand j switched to candidate `cand`, plus the
     undoable delta. Touches only the affected bins."""
-    if spec is not None:
-        _check_same_spec(state, spec)
     if not 0 <= j < state.n:
         raise IndexError(f"demand index {j} out of range")
     if not 0 <= cand < len(state.candidate_sets[j]):
@@ -403,28 +382,29 @@ def delta_error(state: ChainState, j: int, cand: int, spec: MismatchSpec | None 
     if cand == cur:
         return state.cached_error, HistogramDelta(j, cur, cand, (), (), state.cached_error)
 
-    old_bins = state._cand_bins[j][cur]
-    new_bins = state._cand_bins[j][cand]
+    base = state._offsets.item(j)
     moves = []
     dev_deltas = []
     new_error = 0.0
-    for ki, scale in enumerate(state._scales):
-        b_old = old_bins[ki]
-        b_new = new_bins[ki]
+    for ki, (scale, rows) in enumerate(zip(state._scales, state._flat_bins)):
+        b_old = rows.item(base + cur)
+        b_new = rows.item(base + cand)
         dev = state._dev_sums[ki]
         if b_old != b_new:
             counts = state.counts[ki]
             nz = state._scaled_targets[ki]
-            c_old = counts[b_old]
-            c_new = counts[b_new]
+            # Python scalars give the same double arithmetic as numpy's
+            # without its per-operation overhead.
+            c_old, t_old = counts.item(b_old), nz.item(b_old)
+            c_new, t_new = counts.item(b_new), nz.item(b_new)
             d = (
-                abs(c_old - 1 - nz[b_old])
-                - abs(c_old - nz[b_old])
-                + abs(c_new + 1 - nz[b_new])
-                - abs(c_new - nz[b_new])
+                abs(c_old - 1 - t_old)
+                - abs(c_old - t_old)
+                + abs(c_new + 1 - t_new)
+                - abs(c_new - t_new)
             )
             moves.append((ki, b_old, b_new))
-            dev_deltas.append(float(d))
+            dev_deltas.append(d)
             dev += d
         new_error += scale * dev
     return float(new_error), HistogramDelta(

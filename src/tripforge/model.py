@@ -12,6 +12,10 @@ SECONDS_PER_DAY = 86_400
 
 SOURCE_TAGS = ("planner", "history", "synthetic")
 
+WORKING = "working"
+WEEKEND = "weekend"
+DAY_TYPES = (WORKING, WEEKEND)
+
 
 @dataclass(frozen=True, slots=True)
 class Stop:

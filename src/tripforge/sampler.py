@@ -105,13 +105,15 @@ def _weighted_draw(weights, u: float) -> int:
     return last
 
 
-def propose(state: ChainState, candidate_sets, rng) -> tuple[int, int, float]:
+def propose(state: ChainState, rng) -> tuple[int, int, float]:
     """One single-variable proposal.
 
     Picks a demand uniformly among those with >= 2 candidates, then a
     candidate different from the current one, drawn from the set's weights
     renormalized over the non-current candidates.  Returns (demand index,
-    candidate index, Pr(candidate)/Pr(current) from the candidate weights).
+    candidate index, q(current | candidate) / q(candidate | current)): the
+    exact correction for this restricted kernel, which with weights w is
+    w_cur (1 - w_cur) / (w_new (1 - w_new)).
     """
     eligible = state.eligible
     if len(eligible) == 0:
@@ -130,7 +132,8 @@ def propose(state: ChainState, candidate_sets, rng) -> tuple[int, int, float]:
         cand = i
         if u < acc:
             break
-    return j, cand, weights[cand] / w_cur
+    w_new = weights[cand]
+    return j, cand, (w_cur * (1.0 - w_cur)) / (w_new * (1.0 - w_new))
 
 
 def acceptance_probability(
@@ -199,13 +202,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
 
     record(0)
     for it in range(1, config.iterations + 1):
-        j, cand, _ = propose(state, candidate_sets, rng)
-        weights = state.weights[j]
-        w_cur = weights[int(state.assignment[j])]
-        w_new = weights[cand]
-        # Exact correction for the restricted kernel: candidates are drawn
-        # from the set weights excluding the current one, renormalized.
-        q_ratio = (w_cur * (1.0 - w_cur)) / (w_new * (1.0 - w_new))
+        j, cand, q_ratio = propose(state, rng)
         err_cand, delta = delta_error(state, j, cand)
         alpha = acceptance_probability(state.cached_error, err_cand, q_ratio, temperature, eps)
         proposed_window += 1

@@ -16,11 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Leg, ODTriple, Route, Stop, great_circle_m
+from .model import DAY_TYPES, WEEKEND, WORKING, Leg, ODTriple, Route, Stop, great_circle_m
 from .planner import Line, TransitNetwork, k_top_routes
-
-WORKING = "working"
-WEEKEND = "weekend"
 
 
 class SynthError(RuntimeError):
@@ -185,8 +182,12 @@ class SynthConfig:
             raise ValueError("trips_per_day must be >= 1")
         if self.days < 1:
             raise ValueError("days must be >= 1")
-        if self.day_types is not None and len(self.day_types) != self.days:
-            raise ValueError("day_types must list one label per day")
+        if self.day_types is not None:
+            if len(self.day_types) != self.days:
+                raise ValueError("day_types must list one label per day")
+            unknown = sorted(set(self.day_types) - set(DAY_TYPES))
+            if unknown:
+                raise ValueError(f"day_types: unknown labels {unknown}, expected {DAY_TYPES}")
 
     def day_type(self, day: int) -> str:
         if self.day_types is not None:

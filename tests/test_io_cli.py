@@ -196,6 +196,14 @@ class TestCmdSynth:
         assert rc == 2
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_unknown_day_type_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "synth.cfg"
+        write_synth_config(cfg_path, days=3, day_types="holiday,working,working")
+        rc = main(["synth", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "holiday" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture()
 def generated_inputs(tmp_path, tiny_collection):

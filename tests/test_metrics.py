@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from tripforge import (
@@ -22,6 +23,7 @@ from tripforge import (
     apply_delta,
     beta_target,
     build_empirical_target,
+    characteristic_value,
     delta_error,
     fit_beta_moments,
     fit_poisson,
@@ -32,6 +34,7 @@ from tripforge import (
     total_error,
     transfer_time,
 )
+from tripforge.metrics import _bin_indices, characteristic_values
 
 from conftest import make_leg, make_stop, random_route, straight_route
 
@@ -383,9 +386,7 @@ class TestChainState:
         for k, tag in enumerate(CHARACTERISTICS):
             edges = DEFAULT_EDGES[tag]
             masses = np.zeros(len(edges) - 1)
-            from tripforge import bin_index, characteristic_value
-
-            b = bin_index(edges, characteristic_value(tag, route))
+            b = _bin_indices(edges, characteristic_values(tag, [route]))[0]
             masses[b] = 1.0
             if tag == CHARACTERISTICS[0]:
                 masses[b] = 0.75
@@ -408,3 +409,101 @@ class TestChainState:
             [sets[i] for i in perm], spec, assignment[perm]
         ).cached_error
         assert err == pytest.approx(err_perm, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Chain state: properties under random inputs.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hyp_route(draw, uid: str) -> Route:
+    """A 1-2 leg route along the equator whose times often pass the top
+    bin edge of full time (3 h) and transfer time (1 h)."""
+    legs = []
+    x = 0.0
+    t = draw(st.integers(0, 20 * 3600))
+    prev = make_stop(f"{uid}-0", x)
+    for i in range(draw(st.integers(1, 2))):
+        step = draw(st.floats(200.0, 8000.0))
+        x += step
+        stop = make_stop(f"{uid}-{i + 1}", x)
+        ride = draw(st.one_of(st.integers(60, 3000), st.integers(10_000, 20_000)))
+        detour = draw(st.floats(1.0, 3.0))
+        legs.append(make_leg(prev, stop, t, t + ride, line=f"L{i}", dist=step * detour))
+        t += ride + draw(st.one_of(st.integers(0, 900), st.integers(3000, 6000)))
+        prev = stop
+    return Route(legs=tuple(legs))
+
+
+@st.composite
+def chain_cases(draw):
+    """(candidate sets, spec, start assignment, moves) for a small chain; a
+    move is (demand draw, candidate draw, accept)."""
+    sets = []
+    for j in range(draw(st.integers(1, 6))):
+        routes = [draw(hyp_route(f"{j}.{c}")) for c in range(draw(st.integers(1, 4)))]
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(routes), max_size=len(routes)))
+        weights = np.asarray(raw) / sum(raw)
+        triple = ODTriple(origin=routes[0].origin, destination=routes[0].destination,
+                          depart_time=0, demand_id=f"t{j}", round_trip_allowed=True)
+        sets.append(CandidateSet(triple=triple,
+                                 candidates=tuple(zip(routes, map(float, weights)))))
+    entries = []
+    for tag in CHARACTERISTICS:
+        edges = DEFAULT_EDGES[tag]
+        raw = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=len(edges) - 1,
+                                       max_size=len(edges) - 1))) + 1e-3
+        entries.append(MismatchEntry(
+            tag=tag, target=TargetDistribution("empirical", edges, raw / raw.sum()),
+            weight=draw(st.floats(0.1, 2.0)),
+        ))
+    assignment = np.array([draw(st.integers(0, len(cs) - 1)) for cs in sets])
+    moves = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans()),
+                          max_size=300))
+    return sets, MismatchSpec(entries=tuple(entries)), assignment, moves
+
+
+class TestChainStateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(chain_cases())
+    def test_incremental_error_equals_scratch_and_rebuild(self, case):
+        sets, spec, assignment, moves = case
+        state = ChainState(sets, spec, assignment)
+        for a, b, accept in moves:
+            j = a % state.n
+            new_err, delta = delta_error(state, j, b % len(sets[j]))
+            if accept:
+                apply_delta(state, delta)
+                assert state.cached_error == pytest.approx(new_err, abs=1e-9)
+            assert state.cached_error == pytest.approx(state.scratch_error(), abs=1e-9)
+        fresh = ChainState(sets, spec, state.assignment)
+        assert state.cached_error == pytest.approx(fresh.cached_error, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_cases())
+    def test_cached_histograms_bin_the_assigned_routes(self, case):
+        sets, spec, assignment, moves = case
+        state = ChainState(sets, spec, assignment)
+        for a, b, accept in moves:
+            j = a % state.n
+            _, delta = delta_error(state, j, b % len(sets[j]))
+            if accept:
+                apply_delta(state, delta)
+        routes = state.assigned_routes()
+        for h, e in zip(state.cached_histograms, spec.entries):
+            ref = Histogram.from_values(
+                [characteristic_value(e.tag, r) for r in routes], e.target.edges
+            )
+            assert h.count == ref.count == len(sets)
+            np.testing.assert_array_equal(h.masses, ref.masses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_cases(), st.data())
+    def test_out_of_range_assignment_raises(self, case, data):
+        sets, spec, assignment, _ = case
+        bad = sorted(data.draw(st.sets(st.integers(0, len(sets) - 1), min_size=1)))
+        for j in bad:
+            assignment[j] = data.draw(st.sampled_from([-1, len(sets[j])]))
+        with pytest.raises(IndexError, match=rf"assignment\[{bad[0]}\]"):
+            ChainState(sets, spec, assignment)

@@ -118,7 +118,7 @@ class TestPropose:
         cs = CandidateSet(triple=triple, candidates=tuple((r, 0.25) for r in routes))
         state = ChainState([cs], default_spec(), np.array([0]))
         for _ in range(20):
-            j, cand, ratio = propose(state, [cs], rng)
+            j, cand, ratio = propose(state, rng)
             assert j == 0 and cand != 0
             assert ratio == pytest.approx(1.0)
 
@@ -136,10 +136,11 @@ class TestPropose:
         state = ChainState([cs], default_spec(), np.array([0]))
         seen = set()
         for _ in range(50):
-            _, cand, ratio = propose(state, [cs], rng)
+            _, cand, ratio = propose(state, rng)
             seen.add(cand)
+            # w_cur (1 - w_cur) / (w_new (1 - w_new)) from the 0.25-weight current
             if cand == 1:
-                assert ratio == pytest.approx(2.0)
+                assert ratio == pytest.approx(0.75)
             else:
                 assert ratio == pytest.approx(1.0)
         assert seen == {1, 2}
@@ -149,7 +150,7 @@ class TestPropose:
         sets = make_candidate_sets(rng, n_triples=5, max_cands=1)
         state = ChainState(sets, default_spec(rng), np.zeros(5, dtype=int))
         with pytest.raises(FrozenChainError):
-            propose(state, sets, rng)
+            propose(state, rng)
 
     def test_empirical_frequencies_match_restricted_weights(self):
         rng = np.random.default_rng(11)
@@ -162,7 +163,7 @@ class TestPropose:
         counts = {1: 0, 2: 0}
         n = 1_000_000
         for _ in range(n):
-            _, cand, _ = propose(state, [cs], rng)
+            _, cand, _ = propose(state, rng)
             counts[cand] += 1
         assert counts[1] / n == pytest.approx(0.6, abs=0.01)
         assert counts[2] / n == pytest.approx(0.4, abs=0.01)
