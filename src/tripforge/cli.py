@@ -13,6 +13,7 @@ from pathlib import Path
 from . import evaluation, io
 from .candidates import CandidateError
 from .evaluation import EvalConfig
+from .model import WORKING
 from .planner import PlannerError
 from .sampler import FrozenChainError, run
 from .synth import SynthCollection, SynthConfig, SynthError, build_grid_network, generate_collection
@@ -120,6 +121,9 @@ def cmd_generate(args) -> int:
     triples = io.read_demand(args.demand, stops_by_id)
     if not triples:
         raise ConfigError(f"demand file {args.demand} is empty")
+    # A demand file named like a collection day file gives the assigned trips
+    # its day and day type; any other name means day 0, a working day.
+    day, day_type = io.parse_day_file_name(args.demand) or (0, WORKING)
     spec = io.read_targets(args.targets)
     history_days = io.read_collection(args.history_dir, network)[1] if args.history_dir else []
     candidate_sets, kept, dropped = evaluation.build_candidates(
@@ -133,7 +137,7 @@ def cmd_generate(args) -> int:
     io.write_trace(trace, out / "trace.csv")
     routes = trace.best_state.assigned_routes()
     io.write_trips(
-        [(0, "working", t.demand_id, r) for t, r in zip(kept, routes)],
+        [(day, day_type, t.demand_id, r) for t, r in zip(kept, routes)],
         out / "assigned.trips",
     )
     if dropped:

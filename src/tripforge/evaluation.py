@@ -27,7 +27,7 @@ from .metrics import (
 )
 from .model import WORKING, CandidateSet, ODTriple, Route
 from .planner import TransitNetwork, k_top_routes
-from .sampler import AnnealingSchedule, RunTrace, SamplerConfig, draw_assignment, run
+from .sampler import AnnealingSchedule, RunTrace, SamplerConfig, run
 from .synth import SynthCollection
 
 
@@ -305,12 +305,10 @@ def one_day_eval(
     days and report the error trace plus before/after mismatch."""
     cfg = cfg or EvalConfig()
     prepared = prepare_day(collection, test_day, cfg)
-    sampler_cfg = cfg.sampler_config(seed_offset=test_day)
-    initial_assignment = draw_assignment(prepared.candidate_sets, sampler_cfg.seed)
+    trace = run(prepared.candidate_sets, prepared.spec, cfg.sampler_config(seed_offset=test_day))
     initial_routes = [
-        cs.candidates[a][0] for cs, a in zip(prepared.candidate_sets, initial_assignment)
+        cs.candidates[a][0] for cs, a in zip(prepared.candidate_sets, trace.initial_assignment)
     ]
-    trace = run(prepared.candidate_sets, prepared.spec, sampler_cfg)
 
     observed = list(collection.day(test_day).routes)
     before = mismatch_report(
@@ -354,9 +352,6 @@ class OnlineRow:
 @dataclass(frozen=True)
 class OnlineResult:
     rows: tuple[OnlineRow, ...]
-
-    def final_errors(self) -> dict[int, float]:
-        return {r.test_day: r.final_error for r in self.rows}
 
 
 def online_eval(

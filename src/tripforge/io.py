@@ -421,6 +421,26 @@ def day_file_stem(day: int, day_type: str) -> str:
     return f"day_{day:03d}_{day_type}"
 
 
+def parse_day_file_name(path) -> tuple[int, str] | None:
+    """(day, day_type) from a `day_###_<type>` file name.  None for a name
+    that does not start `day_`; FormatError for one that does but breaks
+    the layout."""
+    stem = Path(path).stem
+    if not stem.startswith("day_"):
+        return None
+    parts = stem.split("_")
+    if len(parts) != 3:
+        raise FormatError(path, None, f"bad day file name {stem!r}")
+    try:
+        day = int(parts[1])
+    except ValueError:
+        raise FormatError(path, None, f"bad day {parts[1]!r} in file name") from None
+    day_type = parts[2]
+    if day_type not in DAY_TYPES:
+        raise FormatError(path, None, f"unknown day_type {day_type!r} in file name")
+    return day, day_type
+
+
 def write_collection(collection, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -449,19 +469,9 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
     stops_by_id = {s.stop_id: s for s in network.stops}
     days = []
     for trips_path in sorted(root.glob("day_*.trips")):
-        stem = trips_path.stem
-        parts = stem.split("_")
-        if len(parts) != 3:
-            raise FormatError(trips_path, None, f"bad day file name {stem!r}")
-        try:
-            day = int(parts[1])
-        except ValueError:
-            raise FormatError(trips_path, None, f"bad day {parts[1]!r} in file name") from None
-        day_type = parts[2]
-        if day_type not in DAY_TYPES:
-            raise FormatError(trips_path, None, f"unknown day_type {day_type!r} in file name")
+        day, day_type = parse_day_file_name(trips_path)
         records = read_trips(trips_path, stops_by_id, source_tag="synthetic")
-        demand_path = root / f"{stem}.demand"
+        demand_path = root / f"{trips_path.stem}.demand"
         if not demand_path.exists():
             raise FormatError(demand_path, None, "matching demand file not found")
         triples = read_demand(demand_path, stops_by_id)

@@ -347,96 +347,79 @@ class ChainState:
         return [cs.candidates[self.assignment[j]][0] for j, cs in enumerate(self.candidate_sets)]
 
 
-@dataclass(frozen=True)
-class HistogramDelta:
-    """Undoable effect of swapping demand j to another candidate.
-
-    Applying is O(characteristics); discarding is free.
-    """
-
-    j: int
-    old_cand: int
-    new_cand: int
-    moves: tuple[tuple[int, int, int], ...]  # (characteristic idx, old bin, new bin)
-    dev_deltas: tuple[float, ...]
-    new_error: float
-
-
-def total_error(state: ChainState, spec: MismatchSpec) -> float:
-    """Weighted sum of L1 mismatches between cached histograms and targets."""
-    _check_same_spec(state, spec)
+def total_error(state: ChainState) -> float:
+    """Weighted sum of L1 mismatches between the cached histograms and the
+    state's targets."""
     hists = state.cached_histograms
     return float(
-        sum(e.weight * l1_mismatch(h, e.target) for h, e in zip(hists, spec.entries))
+        sum(e.weight * l1_mismatch(h, e.target) for h, e in zip(hists, state.spec.entries))
     )
 
 
-def delta_error(state: ChainState, j: int, cand: int):
-    """New total error if demand j switched to candidate `cand`, plus the
-    undoable delta. Touches only the affected bins."""
+def _current_candidate(state: ChainState, j: int, cand: int) -> int:
+    """Demand j's current candidate, once j and `cand` are checked in range."""
     if not 0 <= j < state.n:
         raise IndexError(f"demand index {j} out of range")
     if not 0 <= cand < len(state.candidate_sets[j]):
         raise IndexError(f"candidate index {cand} out of range for demand {j}")
-    cur = int(state.assignment[j])
-    if cand == cur:
-        return state.cached_error, HistogramDelta(j, cur, cand, (), (), state.cached_error)
+    return int(state.assignment[j])
 
+
+def _dev_change(counts: np.ndarray, nz: np.ndarray, b_old: int, b_new: int) -> float:
+    """Change in sum |counts - nz| when one trip moves from bin b_old to
+    another bin b_new."""
+    # Python scalars give the same double arithmetic as numpy's without its
+    # per-operation overhead.
+    c_old, t_old = counts.item(b_old), nz.item(b_old)
+    c_new, t_new = counts.item(b_new), nz.item(b_new)
+    return (
+        abs(c_old - 1 - t_old)
+        - abs(c_old - t_old)
+        + abs(c_new + 1 - t_new)
+        - abs(c_new - t_new)
+    )
+
+
+def delta_error(state: ChainState, j: int, cand: int) -> float:
+    """Total error if demand j switched to candidate `cand`; the state is left
+    unchanged.  Touches only the affected bins."""
+    cur = _current_candidate(state, j, cand)
+    if cand == cur:
+        return state.cached_error
     base = state._offsets.item(j)
-    moves = []
-    dev_deltas = []
     new_error = 0.0
     for ki, (scale, rows) in enumerate(zip(state._scales, state._flat_bins)):
         b_old = rows.item(base + cur)
         b_new = rows.item(base + cand)
         dev = state._dev_sums[ki]
         if b_old != b_new:
-            counts = state.counts[ki]
-            nz = state._scaled_targets[ki]
-            # Python scalars give the same double arithmetic as numpy's
-            # without its per-operation overhead.
-            c_old, t_old = counts.item(b_old), nz.item(b_old)
-            c_new, t_new = counts.item(b_new), nz.item(b_new)
-            d = (
-                abs(c_old - 1 - t_old)
-                - abs(c_old - t_old)
-                + abs(c_new + 1 - t_new)
-                - abs(c_new - t_new)
-            )
-            moves.append((ki, b_old, b_new))
-            dev_deltas.append(d)
-            dev += d
+            dev += _dev_change(state.counts[ki], state._scaled_targets[ki], b_old, b_new)
         new_error += scale * dev
-    return float(new_error), HistogramDelta(
-        j, cur, cand, tuple(moves), tuple(dev_deltas), float(new_error)
-    )
+    return float(new_error)
 
 
-def apply_delta(state: ChainState, delta: HistogramDelta) -> None:
-    """Commit a proposed swap to the chain state."""
-    if int(state.assignment[delta.j]) != delta.old_cand:
-        raise ValueError("delta no longer matches the state")
-    for (ki, b_old, b_new), dd in zip(delta.moves, delta.dev_deltas):
-        state.counts[ki][b_old] -= 1
-        state.counts[ki][b_new] += 1
-        state._dev_sums[ki] += dd
-    state.assignment[delta.j] = delta.new_cand
+def apply_delta(state: ChainState, j: int, cand: int) -> None:
+    """Switch demand j to candidate `cand`, updating the cached histograms
+    and error.  Touches only the affected bins."""
+    cur = _current_candidate(state, j, cand)
+    if cand == cur:
+        return
+    base = state._offsets.item(j)
+    for ki, rows in enumerate(state._flat_bins):
+        b_old = rows.item(base + cur)
+        b_new = rows.item(base + cand)
+        if b_old != b_new:
+            counts = state.counts[ki]
+            state._dev_sums[ki] += _dev_change(counts, state._scaled_targets[ki], b_old, b_new)
+            counts[b_old] -= 1
+            counts[b_new] += 1
+    state.assignment[j] = cand
     state.cached_error = float(
         sum(s * d for s, d in zip(state._scales, state._dev_sums))
     )
     state._applies += 1
     if state._applies >= _RESYNC_EVERY:
         state._resync()
-
-
-def _check_same_spec(state: ChainState, spec: MismatchSpec) -> None:
-    if state.spec is spec:
-        return
-    if state.spec.tags != spec.tags:
-        raise ValueError("state was built under a different mismatch spec")
-    for mine, theirs in zip(state.spec.entries, spec.entries):
-        if not np.array_equal(mine.target.edges, theirs.target.edges):
-            raise ValueError("state binning differs from the given spec")
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,6 @@ class TransitNetwork:
             if missing:
                 raise ValueError(f"line {line.line_id!r}: unknown stops {missing}")
 
-    def stop(self, stop_id: str) -> Stop:
-        for s in self.stops:
-            if s.stop_id == stop_id:
-                return s
-        raise KeyError(stop_id)
-
     @cached_property
     def _index(self) -> _NetworkIndex:
         """The planner's derived index, built on first use and owned by the

@@ -66,6 +66,7 @@ class Checkpoint:
 @dataclass(frozen=True)
 class RunTrace:
     checkpoints: tuple[Checkpoint, ...]
+    initial_assignment: np.ndarray  # the assignment the chain started from
     final_state: ChainState
     best_state: ChainState
 
@@ -95,14 +96,19 @@ def initialize(candidate_sets, spec: MismatchSpec, seed: int) -> ChainState:
     return ChainState(candidate_sets, spec, draw_assignment(candidate_sets, seed))
 
 
-def _weighted_draw(weights, u: float) -> int:
+def _weighted_draw(weights, u: float, skip: int = -1) -> int:
+    """First index whose cumulative weight exceeds u, leaving out index
+    `skip`; the last index drawn from if none does."""
     acc = 0.0
-    last = len(weights) - 1
+    pick = -1
     for i, w in enumerate(weights):
+        if i == skip:
+            continue
         acc += w
+        pick = i
         if u < acc:
-            return i
-    return last
+            break
+    return pick
 
 
 def propose(state: ChainState, rng) -> tuple[int, int, float]:
@@ -122,16 +128,7 @@ def propose(state: ChainState, rng) -> tuple[int, int, float]:
     weights = state.weights[j]
     cur = int(state.assignment[j])
     w_cur = weights[cur]
-    u = rng.random() * (1.0 - w_cur)
-    acc = 0.0
-    cand = -1
-    for i, w in enumerate(weights):
-        if i == cur:
-            continue
-        acc += w
-        cand = i
-        if u < acc:
-            break
+    cand = _weighted_draw(weights, rng.random() * (1.0 - w_cur), cur)
     w_new = weights[cand]
     return j, cand, (w_cur * (1.0 - w_cur)) / (w_new * (1.0 - w_new))
 
@@ -169,6 +166,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     """
     candidate_sets = list(candidate_sets)
     state = initialize(candidate_sets, spec, config.seed)
+    initial_assignment = state.assignment.copy()
     # The proposal stream is spawned off the seed so it never replays the
     # initialization draws.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
@@ -203,11 +201,11 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     record(0)
     for it in range(1, config.iterations + 1):
         j, cand, q_ratio = propose(state, rng)
-        err_cand, delta = delta_error(state, j, cand)
+        err_cand = delta_error(state, j, cand)
         alpha = acceptance_probability(state.cached_error, err_cand, q_ratio, temperature, eps)
         proposed_window += 1
         if rng.random() < alpha:
-            apply_delta(state, delta)
+            apply_delta(state, j, cand)
             accepted_window += 1
             if state.cached_error < best_error:
                 best_error = state.cached_error
@@ -220,6 +218,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     best_state = ChainState(candidate_sets, spec, best_assignment)
     return RunTrace(
         checkpoints=tuple(checkpoints),
+        initial_assignment=initial_assignment,
         final_state=state,
         best_state=best_state,
     )

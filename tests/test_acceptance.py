@@ -108,9 +108,9 @@ def test_criterion_03_incremental_objective_exactness():
     for step in range(10_000):
         j = int(movable[rng.integers(0, len(movable))])
         cand = int(rng.integers(0, len(sets[j])))
-        new_err, delta = delta_error(state, j, cand)
+        new_err = delta_error(state, j, cand)
         if rng.random() < 0.5:
-            apply_delta(state, delta)
+            apply_delta(state, j, cand)
             worst = max(worst, abs(state.cached_error - state.scratch_error()))
         else:
             worst = max(worst, abs(state.cached_error - state.scratch_error()))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tripforge import (
+    ChainState,
     EvalConfig,
     EvalError,
     Route,
@@ -163,6 +164,23 @@ class TestOneDayEval:
         res = one_day_eval(twin, 1, fast_eval_cfg(iterations=40_000))
         assert res.final_error <= 0.2 * res.initial_error
         assert res.final_error < 0.3
+
+    def test_before_report_is_the_chain_start(self, small_collection):
+        cfg = fast_eval_cfg(iterations=2_000)
+        res = one_day_eval(small_collection, 3, cfg)
+        sets = res.prepared.candidate_sets
+        start = res.trace.initial_assignment
+        routes = [cs.candidates[a][0] for cs, a in zip(sets, start)]
+        ref = mismatch_report(
+            small_collection.day(3).routes, routes, threshold_s=cfg.joint_threshold_s
+        )
+        for got, want in zip(res.report_before.comparisons, ref.comparisons):
+            np.testing.assert_array_equal(got.simulated.masses, want.simulated.masses)
+            assert got.simulated_mean == want.simulated_mean
+        np.testing.assert_array_equal(
+            res.report_before.joint.simulated_density, ref.joint.simulated_density
+        )
+        assert ChainState(sets, res.prepared.spec, start).cached_error == res.trace.initial_error
 
     def test_mean_direction_before_after(self, small_collection):
         res = one_day_eval(small_collection, 3, fast_eval_cfg())

@@ -293,6 +293,51 @@ class TestCmdGenerate:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("name, row_start", [
+        ("day_007_weekend.demand", "7,weekend,"),
+        ("demand.txt", "0,working,"),
+    ])
+    def test_assigned_trips_take_the_demand_file_day(
+        self, tmp_path, generated_inputs, name, row_start
+    ):
+        demand = tmp_path / name
+        demand.write_bytes(generated_inputs["demand"].read_bytes())
+        out = tmp_path / "gen"
+        rc = main([
+            "generate",
+            "--network", str(generated_inputs["network"]),
+            "--demand", str(demand),
+            "--targets", str(generated_inputs["targets"]),
+            "--history-dir", str(generated_inputs["root"]),
+            "--iterations", "200",
+            "--out-dir", str(out),
+        ])
+        assert rc == 0
+        rows = (out / "assigned.trips").read_text(encoding="utf-8").splitlines()
+        assert rows and all(row.startswith(row_start) for row in rows)
+
+    def test_bad_day_file_name_exits_2_like_read_collection(
+        self, tmp_path, generated_inputs, capsys
+    ):
+        root = generated_inputs["root"]
+        for suffix in (".trips", ".demand"):
+            (root / f"day_001_working{suffix}").rename(root / f"day_x2_working{suffix}")
+        with pytest.raises(tfio.FormatError) as exc:
+            tfio.read_collection(root)
+        collection_message = str(exc.value).split(": ", 1)[1]
+        rc = main([
+            "generate",
+            "--network", str(generated_inputs["network"]),
+            "--demand", str(root / "day_x2_working.demand"),
+            "--targets", str(generated_inputs["targets"]),
+            "--iterations", "0",
+            "--out-dir", str(tmp_path / "gen"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.rstrip("\n").endswith(f": {collection_message}")
+        assert not (tmp_path / "gen").exists()
 
     def test_keeps_the_demands_prepare_day_keeps(self, tmp_path, working_days):
         # generate on day 1's demand with day 0 as history is the CLI form of

@@ -295,7 +295,7 @@ class TestChainState:
         assignment = [int(rng.integers(0, len(cs))) for cs in sets]
         state = ChainState(sets, spec, np.array(assignment))
         assert state.cached_error == pytest.approx(state.scratch_error(), abs=1e-12)
-        assert state.cached_error == pytest.approx(total_error(state, spec), abs=1e-9)
+        assert state.cached_error == pytest.approx(total_error(state), abs=1e-9)
 
     def test_histogram_masses_sum_to_one(self):
         rng = np.random.default_rng(29)
@@ -308,18 +308,23 @@ class TestChainState:
         rng = np.random.default_rng(31)
         sets = make_candidate_sets(rng)
         state = ChainState(sets, default_spec(rng), np.zeros(len(sets), dtype=int))
-        err, delta = delta_error(state, 0, 0)
+        err = delta_error(state, 0, 0)
         assert err == state.cached_error
-        assert delta.moves == ()
+        counts = [c.copy() for c in state.counts]
+        apply_delta(state, 0, 0)
+        assert state.cached_error == err
+        for before, after in zip(counts, state.counts):
+            np.testing.assert_array_equal(before, after)
 
     def test_delta_out_of_range(self):
         rng = np.random.default_rng(37)
         sets = make_candidate_sets(rng)
         state = ChainState(sets, default_spec(rng), np.zeros(len(sets), dtype=int))
-        with pytest.raises(IndexError):
-            delta_error(state, 0, 99)
-        with pytest.raises(IndexError):
-            delta_error(state, len(sets), 0)
+        for fn in (delta_error, apply_delta):
+            with pytest.raises(IndexError):
+                fn(state, 0, 99)
+            with pytest.raises(IndexError):
+                fn(state, len(sets), 0)
 
     def test_delta_equals_scratch_over_many_random_moves(self):
         rng = np.random.default_rng(41)
@@ -330,14 +335,14 @@ class TestChainState:
         for _ in range(2_000):
             j = int(rng.choice(movable))
             cand = int(rng.integers(0, len(sets[j])))
-            new_err, delta = delta_error(state, j, cand)
+            new_err = delta_error(state, j, cand)
             # the delta prediction must match a from-scratch recomputation
             probe = state.assignment.copy()
             probe[j] = cand
             fresh = ChainState(sets, spec, probe).cached_error
             assert new_err == pytest.approx(fresh, abs=1e-9)
             if rng.random() < 0.5:
-                apply_delta(state, delta)
+                apply_delta(state, j, cand)
                 assert state.cached_error == pytest.approx(fresh, abs=1e-9)
         assert state.cached_error == pytest.approx(state.scratch_error(), abs=1e-9)
         for h, counts in zip(state.cached_histograms, state._scratch_counts()):
@@ -368,8 +373,7 @@ class TestChainState:
         spec = default_spec()
         state = ChainState(sets, spec, np.zeros(len(sets), dtype=int))
         before = state.cached_histograms[2].masses.copy()
-        _, delta = delta_error(state, 0, 1)
-        apply_delta(state, delta)
+        apply_delta(state, 0, 1)
         after = state.cached_histograms[2].masses
         n = float(len(sets))
         assert before[0] - after[0] == pytest.approx(1.0 / n, abs=1e-12)
@@ -396,7 +400,7 @@ class TestChainState:
             )
         spec = MismatchSpec(entries=tuple(entries))
         state = ChainState(sets, spec, np.zeros(1, dtype=int))
-        assert total_error(state, spec) == pytest.approx(0.5, abs=1e-12)
+        assert total_error(state) == pytest.approx(0.5, abs=1e-12)
 
     def test_total_error_permutation_invariant(self):
         rng = np.random.default_rng(43)
@@ -472,9 +476,10 @@ class TestChainStateProperties:
         state = ChainState(sets, spec, assignment)
         for a, b, accept in moves:
             j = a % state.n
-            new_err, delta = delta_error(state, j, b % len(sets[j]))
+            cand = b % len(sets[j])
+            new_err = delta_error(state, j, cand)
             if accept:
-                apply_delta(state, delta)
+                apply_delta(state, j, cand)
                 assert state.cached_error == pytest.approx(new_err, abs=1e-9)
             assert state.cached_error == pytest.approx(state.scratch_error(), abs=1e-9)
         fresh = ChainState(sets, spec, state.assignment)
@@ -487,9 +492,10 @@ class TestChainStateProperties:
         state = ChainState(sets, spec, assignment)
         for a, b, accept in moves:
             j = a % state.n
-            _, delta = delta_error(state, j, b % len(sets[j]))
+            cand = b % len(sets[j])
+            delta_error(state, j, cand)
             if accept:
-                apply_delta(state, delta)
+                apply_delta(state, j, cand)
         routes = state.assigned_routes()
         for h, e in zip(state.cached_histograms, spec.entries):
             ref = Histogram.from_values(

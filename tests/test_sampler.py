@@ -234,6 +234,31 @@ class TestRun:
         assert all(cp.temperature >= 1e-3 for cp in trace.checkpoints)
         assert trace.best_error <= trace.initial_error
 
+    def test_pinned_results_on_a_fixed_instance(self):
+        # A hot chain (acceptance ~0.85) on a fixed instance: the best and
+        # final assignments and the error floats, the final one carried
+        # incrementally through about 2 600 accepted moves, pin the RNG stream and
+        # the objective arithmetic bit for bit.
+        rng = np.random.default_rng(2024)
+        sets = make_candidate_sets(rng, n_triples=30)
+        spec = default_spec(rng)
+        cfg = SamplerConfig(
+            iterations=3_000, seed=8, checkpoint_every=1_000,
+            schedule=AnnealingSchedule(l0=1.0, decay=0.99, l_min=1e-3),
+        )
+        trace = run(sets, spec, cfg)
+        assert trace.best_state.assignment.tolist() == [
+            0, 0, 2, 0, 1, 3, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+            0, 0, 0, 0, 1, 0, 1, 2, 0, 2, 0, 2, 0, 1, 0,
+        ]
+        assert repr(trace.best_error) == "4.259170943949845"
+        assert trace.final_state.assignment.tolist() == [
+            0, 0, 3, 0, 1, 3, 0, 0, 0, 0, 1, 2, 2, 1, 0,
+            0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 2, 1,
+        ]
+        assert repr(trace.final_state.cached_error) == "4.571569808912311"
+        assert [cp.acceptance_rate for cp in trace.checkpoints] == [0.0, 0.845, 0.866, 0.894]
+
     def test_cache_coherent_after_run(self):
         rng = np.random.default_rng(31)
         sets = make_candidate_sets(rng, n_triples=40)
