@@ -1,12 +1,14 @@
 """Compact schedule-based trip planner.
 
 Lines run both ways as separate directed lines with headway-based departures
-inside a service window.  A query enumerates loopless leg skeletons
-(board/alight pairs on lines, transfers on foot) in static-cost order, then
-realizes departure times from the headways.  Static cost (rides + walks +
-transfer penalties) is a lower bound on realized generalized cost, so the
-enumeration can stop as soon as no unseen skeleton can beat the k-th realized
-route: the returned ranking is exact within the leg cap.
+inside a service window.  One depth-first search per origin enumerates the
+loopless leg skeletons (board/alight pairs on lines, transfers on foot) to
+every destination; a query realizes its destination's skeletons in
+static-cost order on integer times.  Static cost (rides + walks + transfer
+penalties) is a lower bound on realized generalized cost, so realization
+stops as soon as no unseen skeleton can beat the k-th realized route: the
+returned ranking is exact within the leg cap.  Only the k routes returned
+are built as Route objects.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .metrics import full_trip_time
 from .model import Leg, ODTriple, Route, Stop, great_circle_m
 
 DEFAULT_MAX_LEGS = 3
 _CEILING_CAP_S = 2 * 86_400
+_RANK = itemgetter(0, 1, 2)  # (cost, legs, identity) of a realized skeleton
 
 
 class PlannerError(ValueError):
@@ -86,17 +90,22 @@ class TransitNetwork:
 
 
 class _NetworkIndex:
+    # Holds no reference to the network: the network holds the index, and a
+    # cycle would keep both alive until a full garbage collection.
     def __init__(self, net: TransitNetwork):
-        self.net = net
+        self.transfer_penalty_s = net.transfer_penalty_s
+        self.lines = net.lines
         self.stops = list(net.stops)
         self.pos = {s.stop_id: i for i, s in enumerate(net.stops)}
-        self.lines = list(net.lines)
 
         self.line_stops: list[list[int]] = []
         self.ride_prefix: list[list[int]] = []
         self.dist_prefix: list[list[float]] = []
-        # stop index -> [(line index, position on line)] where boarding is possible
-        self.boardings: list[list[tuple[int, int]]] = [[] for _ in net.stops]
+        # leg_ids[li][pos][apos]: the leg's (line id, board id, alight id)
+        self.leg_ids: list[list[list[tuple[str, str, str]]]] = []
+        # stop index -> [(line, board position, ((alight position, alight
+        # stop, ride seconds), ...))], one entry per possible boarding
+        self.boardings: list[list[tuple]] = [[] for _ in net.stops]
         for li, line in enumerate(net.lines):
             stop_idx = [self.pos[sid] for sid in line.stop_ids]
             self.line_stops.append(stop_idx)
@@ -107,8 +116,13 @@ class _NetworkIndex:
                 dp.append(dp[-1] + float(d))
             self.ride_prefix.append(rp)
             self.dist_prefix.append(dp)
-            for pos_on_line, si in enumerate(stop_idx[:-1]):
-                self.boardings[si].append((li, pos_on_line))
+            ids = line.stop_ids
+            self.leg_ids.append([[(line.line_id, a, b) for b in ids] for a in ids])
+            for pos, si in enumerate(stop_idx[:-1]):
+                hops = tuple(
+                    (a, stop_idx[a], rp[a] - rp[pos]) for a in range(pos + 1, len(stop_idx))
+                )
+                self.boardings[si].append((li, pos, hops))
 
         # walkable neighbors within the transfer radius, self included
         self.walk: list[list[tuple[int, int]]] = []
@@ -123,104 +137,109 @@ class _NetworkIndex:
                     nbrs.append((j, int(math.ceil(d / walk_speed))))
             self.walk.append(nbrs)
 
-        self.skeletons: dict[tuple[int, int, int], _SkeletonCache] = {}
+        self.skeletons: dict[tuple[int, int], _SkeletonCache] = {}
 
 
 @dataclass
 class _SkeletonCache:
-    complete: list  # sorted by (static_cost, tie, skeleton)
-    exhausted_ceiling: int
-    space_exhausted: bool
+    """The skeletons from one origin with static cost <= ceiling.
 
-
-def _enumerate_skeletons(
-    index: _NetworkIndex, origin: int, dest: int, ceiling: int, max_legs: int
-) -> _SkeletonCache:
-    """All loopless skeletons origin->dest with static cost <= ceiling.
-
-    A skeleton is a tuple of (line, board position, alight position) legs plus
-    the walk seconds before each leg.  Board stops are unique within a
-    skeleton, consecutive legs use different lines, the first leg boards
-    exactly at the origin, no leg boards at the destination, and a leg
-    alighting at the destination completes the skeleton.
+    A skeleton is a flat int tuple (static_cost, line, board_pos, alight_pos,
+    walk_s, line, ...), walk_s being the walk to the leg's board stop.
+    by_dest[d] holds those ending at stop d in tuple order, which is
+    (static cost, legs) order.  Bit d of `exhausted` is set when the ceiling
+    cut nothing on the way to d, so by_dest[d] is all of d's skeletons.
     """
-    net = index.net
-    penalty = net.transfer_penalty_s
-    complete: list = []
-    pruned = False
-    # (static cost, current stop, legs tuple, walks tuple, boarded stops)
-    stack: list = [(0, origin, (), (), frozenset())]
+
+    ceiling: int
+    by_dest: list[list[tuple[int, ...]]]
+    exhausted: int
+
+
+def _search_origin(
+    index: _NetworkIndex, origin: int, ceiling: int, max_legs: int
+) -> _SkeletonCache:
+    """One depth-first search for the skeletons from `origin` to every stop.
+
+    Board stops are unique within a skeleton, consecutive legs use different
+    lines, the first leg boards exactly at the origin, and no leg alights at
+    a stop boarded before (so none boards at its destination).  A path is a
+    skeleton of its last alighting stop unless an earlier leg alighted there:
+    a route ends at its destination.  A cut extension would have been
+    explored for every destination its path neither boarded nor alighted at,
+    bar its board stop, so those lose their exhausted bit.
+    """
+    penalty = index.transfer_penalty_s
+    by_dest: list[list[tuple[int, ...]]] = [[] for _ in index.stops]
+    exhausted = -1  # bit d set: nothing on the way to d was cut
+    max_len = 4 * max_legs
+    # (static cost, current stop, skeleton legs so far, boarded mask, alighted mask)
+    stack: list = [(0, origin, (), 0, 0)]
     while stack:
-        cost, at, legs, walks, boarded = stack.pop()
-        first = not legs
-        prev_line = -1 if first else legs[-1][0]
-        for nb, walk_s in index.walk[at] if not first else [(origin, 0)]:
-            if nb == dest or nb in boarded:
+        cost, at, legs, boarded, alighted = stack.pop()
+        extend = len(legs) + 4 < max_len
+        prev_line = legs[-4] if legs else -1
+        transfer_s = penalty if legs else 0
+        for nb, walk_s in index.walk[at] if legs else ((origin, 0),):
+            if boarded >> nb & 1:
                 continue
-            for li, pos in index.boardings[nb]:
+            base = cost + walk_s + transfer_s
+            now_boarded = boarded | (1 << nb)
+            for li, pos, hops in index.boardings[nb]:
                 if li == prev_line:
                     continue
-                line_stops = index.line_stops[li]
-                rp = index.ride_prefix[li]
-                for apos in range(pos + 1, len(line_stops)):
-                    alight = line_stops[apos]
-                    if alight in boarded or alight == nb:
+                for apos, alight, ride_s in hops:
+                    if now_boarded >> alight & 1:
                         continue
-                    new_cost = cost + walk_s + (rp[apos] - rp[pos]) + (0 if first else penalty)
+                    new_cost = base + ride_s
                     if new_cost > ceiling:
-                        pruned = True
-                        continue
-                    new_legs = legs + ((li, pos, apos),)
-                    if alight == dest:
-                        complete.append((new_cost, 0, new_legs, walks + (walk_s,)))
-                    elif len(new_legs) < max_legs:
-                        stack.append(
-                            (new_cost, alight, new_legs, walks + (walk_s,), boarded | {nb})
-                        )
-    complete.sort(key=lambda c: (c[0], c[2]))
-    return _SkeletonCache(
-        complete=complete,
-        exhausted_ceiling=ceiling,
-        space_exhausted=not pruned,
-    )
+                        # later alight positions only cost more
+                        exhausted &= now_boarded | alighted
+                        break
+                    new_legs = legs + (li, pos, apos, walk_s)
+                    if not alighted >> alight & 1:
+                        by_dest[alight].append((new_cost, *new_legs))
+                    if extend:
+                        now_alighted = alighted | (1 << alight)
+                        stack.append((new_cost, alight, new_legs, now_boarded, now_alighted))
+    for skeletons in by_dest:
+        skeletons.sort()
+    return _SkeletonCache(ceiling=ceiling, by_dest=by_dest, exhausted=exhausted)
 
 
-def _next_departure(line: Line, ride_offset: int, t: int) -> int | None:
-    """Earliest departure from a stop with the given ride offset at/after t."""
-    first = line.first_dep_s + ride_offset
-    if t <= first:
-        return first
-    k = (t - first + line.headway_s - 1) // line.headway_s
-    dep = first + k * line.headway_s
-    if dep - ride_offset > line.last_dep_s:
-        return None
-    return dep
-
-
-def _realize(index: _NetworkIndex, legs, walks, depart_time: int) -> Route | None:
-    net = index.net
-    out: list[Leg] = []
+def _realize(index: _NetworkIndex, skeleton: tuple[int, ...], depart_time: int) -> list[int] | None:
+    """Board and alight time of each leg, flat, taking the earliest
+    departure at or after arrival on foot; None if a leg misses the last
+    departure of its line."""
+    times: list[int] = []
     t = depart_time
-    for (li, pos, apos), walk_s in zip(legs, walks):
-        line = net.lines[li]
+    for i in range(1, len(skeleton), 4):
+        li, pos, apos, walk_s = skeleton[i : i + 4]
+        line = index.lines[li]
         rp = index.ride_prefix[li]
-        dp = index.dist_prefix[li]
-        dep = _next_departure(line, rp[pos], t + walk_s)
-        if dep is None:
-            return None
-        arr = dep + (rp[apos] - rp[pos])
-        out.append(
-            Leg(
-                board_stop=index.stops[index.line_stops[li][pos]],
-                alight_stop=index.stops[index.line_stops[li][apos]],
-                board_time=dep,
-                alight_time=arr,
-                line_id=line.line_id,
-                leg_distance=dp[apos] - dp[pos],
-            )
-        )
-        t = arr
-    return Route(legs=tuple(out), source_tag="planner")
+        offset = rp[pos]
+        first = line.first_dep_s + offset
+        t += walk_s
+        if t <= first:
+            dep = first
+        else:
+            dep = first + (t - first + line.headway_s - 1) // line.headway_s * line.headway_s
+            if dep - offset > line.last_dep_s:
+                return None
+        t = dep + rp[apos] - offset
+        times += (dep, t)
+    return times
+
+
+def _route(index: _NetworkIndex, skeleton: tuple[int, ...], times: list[int]) -> Route:
+    legs = []
+    for i in range(1, len(skeleton), 4):
+        li, pos, apos = skeleton[i : i + 3]
+        stops, dp = index.line_stops[li], index.dist_prefix[li]
+        legs.append(Leg(board_stop=index.stops[stops[pos]], alight_stop=index.stops[stops[apos]],
+                        board_time=times[i // 2], alight_time=times[i // 2 + 1],
+                        line_id=index.lines[li].line_id, leg_distance=dp[apos] - dp[pos]))
+    return Route(legs=tuple(legs), source_tag="planner")
 
 
 def generalized_cost(route: Route, transfer_penalty_s: int) -> float:
@@ -250,37 +269,43 @@ def k_top_routes(
     if o == d:
         return []
 
-    cache_key = (o, d, max_legs)
+    penalty = net.transfer_penalty_s
+    leg_ids = index.leg_ids
+    cache_key = (o, max_legs)
     cache = index.skeletons.get(cache_key)
-    ceiling = 2700 + 2 * net.transfer_penalty_s
+    ceiling = 2700 + 2 * penalty
     if cache is not None:
-        ceiling = max(ceiling, cache.exhausted_ceiling)
+        ceiling = max(ceiling, cache.ceiling)
 
     while True:
-        if cache is None or (cache.exhausted_ceiling < ceiling and not cache.space_exhausted):
-            cache = _enumerate_skeletons(index, o, d, ceiling, max_legs)
+        if cache is None or (cache.ceiling < ceiling and not cache.exhausted >> d & 1):
+            cache = _search_origin(index, o, ceiling, max_legs)
             index.skeletons[cache_key] = cache
 
-        # Realize skeletons in static-cost order.  Realized cost >= static
-        # cost, so once the k-th best realized cost drops strictly below the
-        # next static cost no later skeleton can enter the top k (ties are
-        # still scanned so the (cost, legs, identity) ordering stays exact).
-        realized: list[tuple[float, int, tuple, Route]] = []
-        cost_board: list[float] = []
+        # Realize skeletons in static-cost order, keeping the realized ones
+        # sorted by (cost, legs, identity).  Realized cost >= static cost, so
+        # once the k-th best realized cost drops strictly below the next
+        # static cost no later skeleton can enter the top k (ties are still
+        # scanned so the ordering stays exact).  The cost is the double
+        # generalized_cost gives; the identity is Route.identity as a list.
+        realized: list[tuple[float, int, list, tuple[int, ...], list[int]]] = []
         scanned_all = True
-        for static_cost, _, legs, walks in cache.complete:
-            if len(cost_board) >= k and cost_board[k - 1] < static_cost:
+        for skeleton in cache.by_dest[d]:
+            if len(realized) >= k and realized[k - 1][0] < skeleton[0]:
                 scanned_all = False
                 break
-            route = _realize(index, legs, walks, triple.depart_time)
-            if route is None:
+            times = _realize(index, skeleton, triple.depart_time)
+            if times is None:
                 continue
-            cost = generalized_cost(route, net.transfer_penalty_s)
-            realized.append((cost, len(legs), route.identity, route))
-            bisect.insort(cost_board, cost)
-        realized.sort(key=lambda r: (r[0], r[1], r[2]))
+            n_legs = len(times) // 2
+            cost = float(times[-1] - times[0]) + penalty * (n_legs - 1)
+            identity = [
+                leg_ids[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]]
+                for i in range(1, len(skeleton), 4)
+            ]
+            bisect.insort(realized, (cost, n_legs, identity, skeleton, times), key=_RANK)
 
-        done = len(realized) >= k and (not scanned_all or realized[k - 1][0] <= cache.exhausted_ceiling)
-        if done or cache.space_exhausted or ceiling >= _CEILING_CAP_S:
-            return [r[3] for r in realized[:k]]
+        done = len(realized) >= k and (not scanned_all or realized[k - 1][0] <= cache.ceiling)
+        if done or cache.exhausted >> d & 1 or ceiling >= _CEILING_CAP_S:
+            return [_route(index, r[3], r[4]) for r in realized[:k]]
         ceiling = min(_CEILING_CAP_S, ceiling * 2)

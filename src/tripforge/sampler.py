@@ -11,7 +11,7 @@ schedules comparable across demand sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,6 +216,13 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
             record(it)
 
     best_state = ChainState(candidate_sets, spec, best_assignment)
+    # The checkpoints taken since the best move report the best error as
+    # rebuilt, the value RunTrace.best_error gives, not the one carried
+    # incrementally, which can differ in the last bits.
+    rebuilt = best_state.cached_error
+    checkpoints = [
+        replace(c, best_error=rebuilt) if c.best_error == best_error else c for c in checkpoints
+    ]
     return RunTrace(
         checkpoints=tuple(checkpoints),
         initial_assignment=initial_assignment,

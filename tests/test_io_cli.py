@@ -395,6 +395,9 @@ class TestCmdEval:
         assert rc == 0
         rows = (out / "online.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + day 1 (day 0 has no prior)
+        # the last checkpoint's best error is the row's final error, to the bit
+        row = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert row["err_at_1000"] == row["final_error"]
 
     def test_default_flags_lower_the_error(self, tmp_path, working_days, capsys):
         tfio.write_collection(working_days, tmp_path / "c")

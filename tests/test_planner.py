@@ -1,20 +1,25 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tripforge import (
     Line,
     ODTriple,
     PlannerError,
     Stop,
+    SynthConfig,
     TransitNetwork,
+    build_grid_network,
     full_trip_time,
     generalized_cost,
     k_top_routes,
     validate_route,
 )
+from tripforge import planner
 
 from conftest import DEG_PER_M
 from oracles import oracle_enumerate_routes
@@ -112,6 +117,21 @@ class TestKTopRoutes:
         gc.collect()
         assert ref() is None
 
+    def test_queried_network_is_freed_without_cycle_collection(self, two_line_net):
+        # the index and its skeleton cache go as soon as the last reference
+        # to the network does, not at the next full collection
+        net = TransitNetwork(stops=two_line_net.stops, lines=two_line_net.lines)
+        triple = ODTriple(origin=net.stops[0], destination=net.stops[1],
+                          depart_time=30_000, demand_id="t")
+        gc.disable()
+        try:
+            assert k_top_routes(net, triple, k=1)
+            ref = weakref.ref(net)
+            del net
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 def random_network(rng) -> TransitNetwork:
     """Small random network: <= 8 stops, <= 4 bidirectional line pairs."""
@@ -169,3 +189,92 @@ class TestAgainstEnumeration:
                 assert generalized_cost(got[0], net.transfer_penalty_s) == pytest.approx(
                     generalized_cost(expected[0], net.transfer_penalty_s)
                 )
+
+
+class TestSharedSearch:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Origins of the skeleton searches made while the test runs."""
+        origins = []
+        search = planner._search_origin
+
+        def counting(index, origin, ceiling, max_legs):
+            origins.append(origin)
+            return search(index, origin, ceiling, max_legs)
+
+        monkeypatch.setattr(planner, "_search_origin", counting)
+        return origins
+
+    def test_one_search_serves_every_destination(self, searches):
+        net = build_grid_network(rows=5, cols=6, seed=0)
+        origin = net.stops[7]
+        for dest in net.stops:
+            if dest != origin:
+                triple = ODTriple(origin=origin, destination=dest, depart_time=12 * 3600,
+                                  demand_id="s")
+                assert k_top_routes(net, triple, k=5)
+        assert searches == [7]
+
+    def test_od_pool_searches_each_origin_once(self, searches):
+        cfg = SynthConfig(network=build_grid_network(rows=5, cols=6, seed=0), days=1,
+                          trips_per_day=10, seed=3)
+        assert len(cfg._od_pool) == cfg.od_pool_size
+        assert len(searches) <= 30
+
+
+LINE_SPANS = st.integers(5 * 3600, 9 * 3600).flatmap(
+    lambda first: st.tuples(st.just(first), st.integers(first, 23 * 3600))
+)
+
+
+@st.composite
+def small_networks(draw):
+    """<= 8 stops on a 5 km square and 1-4 bidirectional lines, each with its
+    own segment ride times, headway and service window."""
+    n_stops = draw(st.integers(3, 8))
+    coord = st.floats(0.0, 5000.0, allow_nan=False)
+    stops = [grid_stop(f"s{i}", draw(coord), draw(coord)) for i in range(n_stops)]
+    lines = []
+    for li in range(draw(st.integers(1, 4))):
+        members = draw(st.lists(st.integers(0, n_stops - 1), min_size=2,
+                                max_size=min(5, n_stops), unique=True))
+        rides = draw(st.lists(st.integers(60, 900), min_size=len(members) - 1,
+                              max_size=len(members) - 1))
+        headway = draw(st.sampled_from([300, 450, 600, 900]))
+        first, last = draw(LINE_SPANS)
+        for suffix, order, ride in (("", members, rides), ("r", members[::-1], rides[::-1])):
+            line = simple_line(f"L{li}{suffix}", [stops[i] for i in order], headway=headway,
+                               first=first, last=last)
+            lines.append(replace(line, seg_ride_s=tuple(ride)))
+    walk = draw(st.sampled_from([400.0, 800.0, 1500.0]))
+    return TransitNetwork(stops=tuple(stops), lines=tuple(lines), max_walk_m=walk)
+
+
+@st.composite
+def planner_queries(draw):
+    """A network and 1-4 queries (origin, destination, depart, k, max_legs);
+    the queries share origins, so later ones read the cached search."""
+    net = draw(small_networks())
+    n = len(net.stops)
+    origins = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        o = draw(st.sampled_from(origins))
+        d = draw(st.integers(0, n - 1).filter(lambda d: d != o))
+        queries.append((o, d, draw(st.integers(0, 86_399)), draw(st.integers(1, 5)),
+                        draw(st.integers(1, 3))))
+    return net, queries
+
+
+class TestPlannerProperties:
+    @settings(max_examples=1000, deadline=None)
+    @given(planner_queries())
+    def test_top_k_equals_exhaustive_enumeration(self, case):
+        net, queries = case
+        for o, d, depart, k, max_legs in queries:
+            triple = ODTriple(origin=net.stops[o], destination=net.stops[d],
+                              depart_time=depart, demand_id="h")
+            expected = oracle_enumerate_routes(net, triple, max_legs=max_legs)[:k]
+            got = k_top_routes(net, triple, k=k, max_legs=max_legs)
+            assert [r.identity for r in got] == [r.identity for r in expected]
+            assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]

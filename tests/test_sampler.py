@@ -252,6 +252,9 @@ class TestRun:
             0, 0, 0, 0, 1, 0, 1, 2, 0, 2, 0, 2, 0, 1, 0,
         ]
         assert repr(trace.best_error) == "4.259170943949845"
+        # the checkpoints since the best move report the best state's own error
+        assert [repr(cp.best_error) for cp in trace.checkpoints[1:]] == ["4.259170943949845"] * 3
+        assert trace.checkpoints[-1].best_error == trace.best_error
         assert trace.final_state.assignment.tolist() == [
             0, 0, 3, 0, 1, 3, 0, 0, 0, 0, 1, 2, 2, 1, 0,
             0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 2, 1,
