@@ -11,7 +11,6 @@ objective updates per proposal.
 
 from .candidates import (
     CandidateError,
-    HistoryRecord,
     TripHistory,
     build_candidate_set,
     history_lookup,

@@ -4,38 +4,27 @@ observed routes from the trip history and assign prior weights."""
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
-from .model import DAY_TYPES, CandidateSet, ODTriple, Route
+from .model import CandidateSet, ODTriple, Route
 
 
 class CandidateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    route: Route
-    day: int
-    day_type: str
-
-
 class TripHistory:
     """Observed routes over past days, indexed by (origin, destination) with
     first-boarding times sorted for slot lookups."""
 
-    def __init__(self, records):
-        self.records: list[HistoryRecord] = []
+    def __init__(self, routes):
+        self.routes: list[Route] = []
         self._index: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
-        for rec in records:
-            self.add(rec)
+        for route in routes:
+            self.add(route)
 
-    def add(self, rec: HistoryRecord) -> None:
-        if rec.day_type not in DAY_TYPES:
-            raise ValueError(f"unknown day_type {rec.day_type!r}")
-        pos = len(self.records)
-        self.records.append(rec)
-        route = rec.route
+    def add(self, route: Route) -> None:
+        pos = len(self.routes)
+        self.routes.append(route)
         key = (route.origin.stop_id, route.destination.stop_id)
         times, ids = self._index.setdefault(key, ([], []))
         t = route.legs[0].board_time
@@ -43,37 +32,22 @@ class TripHistory:
         times.insert(at, t)
         ids.insert(at, pos)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def _reanchor(route: Route, depart_time: int) -> Route:
     """Shift all leg times so the first boarding happens at depart_time."""
     shift = depart_time - route.legs[0].board_time
-    legs = tuple(
-        leg.__class__(
-            board_stop=leg.board_stop,
-            alight_stop=leg.alight_stop,
-            board_time=leg.board_time + shift,
-            alight_time=leg.alight_time + shift,
-            line_id=leg.line_id,
-            leg_distance=leg.leg_distance,
-        )
-        for leg in route.legs
-    )
-    return Route(legs=legs, source_tag="history")
+    return Route(tuple(leg.shifted(shift) for leg in route.legs))
 
 
 def history_lookup(
     hist: TripHistory,
     triple: ODTriple,
     slot_width: int = 1200,
-    day_types: frozenset[str] | set[str] = frozenset(DAY_TYPES),
 ) -> list[tuple[Route, int]]:
     """History routes matching the demand's stops within +-slot_width seconds
-    of its departure, restricted to day_types.  Frequencies are aggregated by
-    route identity; returned routes are re-anchored to the demand's departure
-    time, ranked by frequency (ties by identity)."""
+    of its departure.  Frequencies are aggregated by route identity; returned
+    routes are re-anchored to the demand's departure time, ranked by
+    frequency (ties by identity)."""
     if slot_width <= 0:
         raise ValueError("slot_width must be positive")
     key = (triple.origin.stop_id, triple.destination.stop_id)
@@ -85,15 +59,13 @@ def history_lookup(
     hi = bisect.bisect_right(times, triple.depart_time + slot_width)
     agg: dict[tuple, tuple[Route, int]] = {}
     for at in range(lo, hi):
-        rec = hist.records[ids[at]]
-        if rec.day_type not in day_types:
-            continue
-        ident = rec.route.identity
+        route = hist.routes[ids[at]]
+        ident = route.identity
         if ident in agg:
-            route, freq = agg[ident]
-            agg[ident] = (route, freq + 1)
+            first, freq = agg[ident]
+            agg[ident] = (first, freq + 1)
         else:
-            agg[ident] = (rec.route, 1)
+            agg[ident] = (route, 1)
     ranked = sorted(agg.items(), key=lambda kv: (-kv[1][1], kv[0]))
     return [(_reanchor(route, triple.depart_time), freq) for _, (route, freq) in ranked]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import TripHistory, HistoryRecord, build_candidate_set, history_lookup
+from .candidates import TripHistory, build_candidate_set, history_lookup
 from .metrics import (
     CHARACTERISTICS,
     DEFAULT_EDGES,
@@ -237,11 +237,7 @@ def build_candidates(
 
     Returns (candidate sets, kept triples, dropped demand ids).
     """
-    history = TripHistory(
-        HistoryRecord(route=r, day=d.day, day_type=d.day_type)
-        for d in history_days
-        for r in d.routes
-    )
+    history = TripHistory(r for d in history_days for r in d.routes)
     candidate_sets = []
     kept = []
     dropped = []
@@ -266,11 +262,9 @@ def prepare_day(
     collection: SynthCollection,
     test_day: int,
     cfg: EvalConfig,
-    test_triples=None,
 ) -> PreparedDay:
     """Build targets and candidate sets for a test day from strictly earlier
-    days.  `test_triples` overrides the demand (the default reads the test
-    day's triples — never its routes).
+    days.  The demand is the test day's triples — never its routes.
 
     Targets pool the prior days of the test day's type.  Candidate history
     draws on all prior days: the day-type split concerns the desired
@@ -281,9 +275,8 @@ def prepare_day(
     prior_target = [d for d in prior_all if d.day_type == test.day_type]
     if not prior_target:
         raise EvalError(f"day {test_day}: no prior {test.day_type} day to learn from")
-    triples = tuple(test_triples) if test_triples is not None else test.triples
     candidate_sets, kept, dropped = build_candidates(
-        collection.config.network, prior_all, triples, cfg
+        collection.config.network, prior_all, test.triples, cfg
     )
     return PreparedDay(
         test_day=test_day,

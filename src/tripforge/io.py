@@ -66,67 +66,74 @@ def write_network(net: TransitNetwork, path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
 
 
+def _field(path, lineno: int, parts: list[str], at: int, conv=float):
+    """parts[at] parsed by conv; a FormatError at path:lineno when it is
+    missing or does not parse."""
+    if at >= len(parts):
+        raise FormatError(path, lineno, f"{parts[0]}: missing value")
+    try:
+        return conv(parts[at])
+    except ValueError:
+        raise FormatError(path, lineno, f"{parts[0]}: bad {conv.__name__} {parts[at]!r}") from None
+
+
 def read_network(path) -> TransitNetwork:
-    lines_txt = Path(path).read_text(encoding="utf-8").splitlines()
+    numbered = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
     stops: list[Stop] = []
     lines: list[Line] = []
     penalty = 300
     walk_speed = 1.2
     max_walk = 800.0
 
-    i = 0
-    n = len(lines_txt)
-
     def fail(lineno, msg):
-        raise FormatError(path, lineno + 1, msg)
+        raise FormatError(path, lineno, msg)
 
-    if not lines_txt or lines_txt[0].strip() != "network":
-        fail(0, "expected header 'network'")
-    i = 1
-    while i < n:
-        raw = lines_txt[i].strip()
-        i += 1
-        if not raw or raw.startswith("#"):
-            continue
+    if next(numbered, (1, ""))[1].strip() != "network":
+        fail(1, "expected header 'network'")
+    for lineno, raw in numbered:
         parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         key = parts[0]
         if key == "transfer_penalty_s":
-            penalty = int(parts[1])
+            penalty = _field(path, lineno, parts, 1, int)
         elif key == "walk_speed_mps":
-            walk_speed = float(parts[1])
+            walk_speed = _field(path, lineno, parts, 1)
         elif key == "max_walk_m":
-            max_walk = float(parts[1])
+            max_walk = _field(path, lineno, parts, 1)
         elif key == "stop":
             if len(parts) < 4:
-                fail(i - 1, "stop needs: stop <id> <lat> <lon> [name]")
+                fail(lineno, "stop needs: stop <id> <lat> <lon> [name]")
             name = " ".join(parts[4:]) or None
             try:
                 stops.append(Stop(parts[1], float(parts[2]), float(parts[3]), name))
             except ValueError as exc:
-                fail(i - 1, str(exc))
+                fail(lineno, str(exc))
         elif key == "line":
             if len(parts) != 8 or parts[2] != "headway" or parts[4] != "first" or parts[6] != "last":
-                fail(i - 1, "line needs: line <id> headway <s> first <s> last <s>")
+                fail(lineno, "line needs: line <id> headway <s> first <s> last <s>")
             line_id = parts[1]
-            headway, first_dep, last_dep = int(parts[3]), int(parts[5]), int(parts[7])
+            headway, first_dep, last_dep = (
+                _field(path, lineno, parts, at, int) for at in (3, 5, 7)
+            )
             stop_ids: list[str] = []
             rides: list[int] = []
             dists: list[float] = []
-            while i < n:
-                raw2 = lines_txt[i].strip()
-                i += 1
-                if raw2 == "end":
+            for lineno, raw in numbered:
+                p2 = raw.split()
+                if p2 == ["end"]:
                     break
-                p2 = raw2.split()
+                if not p2:
+                    fail(lineno, f"line {line_id!r}: blank line inside the line block")
                 if p2[0] == "stop":
-                    stop_ids.append(p2[1])
+                    stop_ids.append(_field(path, lineno, p2, 1, str))
                 elif p2[0] == "seg":
-                    rides.append(int(p2[1]))
-                    dists.append(float(p2[2]))
+                    rides.append(_field(path, lineno, p2, 1, int))
+                    dists.append(_field(path, lineno, p2, 2))
                 else:
-                    fail(i - 1, f"unexpected token {p2[0]!r} inside line block")
+                    fail(lineno, f"unexpected token {p2[0]!r} inside line block")
             else:
-                fail(n - 1, f"line {line_id!r}: missing 'end'")
+                fail(lineno, f"line {line_id!r}: missing 'end'")
             try:
                 lines.append(
                     Line(
@@ -140,9 +147,9 @@ def read_network(path) -> TransitNetwork:
                     )
                 )
             except ValueError as exc:
-                fail(i - 1, str(exc))
+                fail(lineno, str(exc))
         else:
-            fail(i - 1, f"unknown directive {key!r}")
+            fail(lineno, f"unknown directive {key!r}")
     try:
         return TransitNetwork(
             stops=tuple(stops),
@@ -181,7 +188,7 @@ def write_trips(records, path) -> None:
     Path(path).write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
 
 
-def read_trips(path, stops_by_id: dict[str, Stop], source_tag: str = "history"):
+def read_trips(path, stops_by_id: dict[str, Stop]):
     """Yields (day, day_type, demand_id, Route) tuples."""
     out = []
     text = Path(path).read_text(encoding="utf-8")
@@ -217,7 +224,7 @@ def read_trips(path, stops_by_id: dict[str, Stop], source_tag: str = "history"):
                 raise FormatError(path, lineno, f"unknown stop {exc.args[0]!r}") from None
             except ValueError as exc:
                 raise FormatError(path, lineno, str(exc)) from None
-        out.append((day, day_type, demand_id, Route(legs=tuple(legs), source_tag=source_tag)))
+        out.append((day, day_type, demand_id, Route(legs=tuple(legs))))
     return out
 
 
@@ -339,27 +346,19 @@ def read_targets(path) -> MismatchSpec:
         if key == "characteristic":
             if block is not None:
                 fail(lineno, "previous characteristic block not closed with 'end'")
-            block = {"tag": parts[1]}
+            block = {"tag": _field(path, lineno, parts, 1, str)}
         elif block is None:
             fail(lineno, f"directive {key!r} outside a characteristic block")
         elif key == "end":
             close(lineno)
-        elif key == "weight":
-            block["weight"] = float(parts[1])
         elif key == "kind":
-            block["kind"] = parts[1]
-        elif key == "edges":
-            block["edges"] = np.array([float(x) for x in parts[1:]])
-        elif key == "masses":
-            block["masses"] = np.array([float(x) for x in parts[1:]])
-        elif key == "alpha":
-            block["alpha"] = float(parts[1])
-        elif key == "beta":
-            block["beta"] = float(parts[1])
-        elif key == "lambda":
-            block["lambda"] = float(parts[1])
+            block["kind"] = _field(path, lineno, parts, 1, str)
+        elif key in ("weight", "alpha", "beta", "lambda"):
+            block[key] = _field(path, lineno, parts, 1)
+        elif key in ("edges", "masses"):
+            block[key] = np.array([_field(path, lineno, parts, at) for at in range(1, len(parts))])
         elif key == "component":
-            components.append((float(parts[1]), float(parts[2]), float(parts[3])))
+            components.append(tuple(_field(path, lineno, parts, at) for at in (1, 2, 3)))
         else:
             fail(lineno, f"unknown directive {key!r}")
     if block is not None:
@@ -470,7 +469,7 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
     days = []
     for trips_path in sorted(root.glob("day_*.trips")):
         day, day_type = parse_day_file_name(trips_path)
-        records = read_trips(trips_path, stops_by_id, source_tag="synthetic")
+        records = read_trips(trips_path, stops_by_id)
         demand_path = root / f"{trips_path.stem}.demand"
         if not demand_path.exists():
             raise FormatError(demand_path, None, "matching demand file not found")

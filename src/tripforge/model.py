@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 EARTH_RADIUS_M = 6_371_000.0
 SECONDS_PER_DAY = 86_400
 
-SOURCE_TAGS = ("planner", "history", "synthetic")
-
 WORKING = "working"
 WEEKEND = "weekend"
 DAY_TYPES = (WORKING, WEEKEND)
@@ -58,17 +56,19 @@ class Leg:
     line_id: str
     leg_distance: float
 
+    def shifted(self, dt: int) -> Leg:
+        """The same ride dt seconds later (earlier when dt is negative)."""
+        return Leg(self.board_stop, self.alight_stop, self.board_time + dt,
+                   self.alight_time + dt, self.line_id, self.leg_distance)
+
 
 @dataclass(frozen=True, slots=True)
 class Route:
     """An ordered sequence of legs realizing one trip."""
 
     legs: tuple[Leg, ...]
-    source_tag: str = "planner"
 
     def __post_init__(self) -> None:
-        if self.source_tag not in SOURCE_TAGS:
-            raise ValueError(f"unknown source_tag {self.source_tag!r}")
         if not self.legs:
             raise ValueError("route must have at least one leg")
 
@@ -96,13 +96,6 @@ class Route:
     def ride_distance_m(self) -> float:
         """Total in-vehicle distance over all legs."""
         return sum(leg.leg_distance for leg in self.legs)
-
-    def distance_ratio(self) -> float:
-        """Plain ratio of crow-flight distance to total ride distance."""
-        total = self.ride_distance_m()
-        if total <= 0.0:
-            raise ValueError("route has zero total ride distance")
-        return self.straight_line_m() / total
 
 
 @dataclass(frozen=True, slots=True)

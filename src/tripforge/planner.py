@@ -239,7 +239,7 @@ def _route(index: _NetworkIndex, skeleton: tuple[int, ...], times: list[int]) ->
         legs.append(Leg(board_stop=index.stops[stops[pos]], alight_stop=index.stops[stops[apos]],
                         board_time=times[i // 2], alight_time=times[i // 2 + 1],
                         line_id=index.lines[li].line_id, leg_distance=dp[apos] - dp[pos]))
-    return Route(legs=tuple(legs), source_tag="planner")
+    return Route(legs=tuple(legs))
 
 
 def generalized_cost(route: Route, transfer_penalty_s: int) -> float:

@@ -251,32 +251,17 @@ def _reverse_line_map(net: TransitNetwork) -> dict[str, str]:
     return out
 
 
-def _retag(route: Route, tag: str) -> Route:
-    return Route(legs=route.legs, source_tag=tag)
-
-
-def _shift_leg(leg: Leg, shift: int) -> Leg:
-    return Leg(
-        board_stop=leg.board_stop,
-        alight_stop=leg.alight_stop,
-        board_time=leg.board_time + shift,
-        alight_time=leg.alight_time + shift,
-        line_id=leg.line_id,
-        leg_distance=leg.leg_distance,
-    )
-
-
 def _inject_dwell(route: Route, rng: np.random.Generator, mean_s: float) -> Route:
     """Stretch each transfer gap by exponential extra dwell; single-leg routes
     are returned unchanged."""
     if len(route.legs) == 1:
-        return _retag(route, "synthetic")
+        return route
     legs = [route.legs[0]]
     shift = 0
     for leg in route.legs[1:]:
         shift += int(rng.exponential(mean_s))
-        legs.append(_shift_leg(leg, shift))
-    return Route(legs=tuple(legs), source_tag="synthetic")
+        legs.append(leg.shifted(shift))
+    return Route(legs=tuple(legs))
 
 
 def _round_trip_route(
@@ -303,7 +288,7 @@ def _round_trip_route(
         t += ride
         if i < len(gaps):
             t += gaps[len(gaps) - 1 - i]
-    return Route(legs=tuple(legs), source_tag="synthetic")
+    return Route(legs=tuple(legs))
 
 
 def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route], str]:
@@ -362,7 +347,7 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
             pick = 1 + int(rng.choice(ranks, p=w / w.sum()))
             routes.append(_inject_dwell(planner_routes[pick], rng, cfg.dwell_mean_s * dwell_factor))
         else:
-            routes.append(_retag(planner_routes[0], "synthetic"))
+            routes.append(planner_routes[0])
     return triples, routes, day_type
 
 

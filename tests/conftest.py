@@ -39,28 +39,24 @@ def straight_route(
     depart: int = 28_800,
     ride_s: int = 900,
     detour: float = 1.0,
-    tag: str = "planner",
 ) -> Route:
     """Single-leg route along the equator; detour scales the ride distance
     relative to the crow-flight length."""
     a = make_stop("ra", 0.0)
     b = make_stop("rb", length_m)
-    return Route(
-        legs=(make_leg(a, b, depart, depart + ride_s, dist=length_m * max(detour, 1.0)),),
-        source_tag=tag,
-    )
+    return Route(legs=(make_leg(a, b, depart, depart + ride_s, dist=length_m * max(detour, 1.0)),))
 
 
-def two_leg_route(gap_s: int = 480, depart: int = 28_800, tag: str = "planner") -> Route:
+def two_leg_route(gap_s: int = 480, depart: int = 28_800) -> Route:
     a = make_stop("ta", 0.0)
     b = make_stop("tb", 2000.0)
     c = make_stop("tc", 4000.0)
     l1 = make_leg(a, b, depart, depart + 600, line="LA")
     l2 = make_leg(b, c, depart + 600 + gap_s, depart + 1200 + gap_s, line="LB")
-    return Route(legs=(l1, l2), source_tag=tag)
+    return Route(legs=(l1, l2))
 
 
-def random_route(rng: np.random.Generator, tag: str = "history") -> Route:
+def random_route(rng: np.random.Generator) -> Route:
     """A valid route with randomized geometry and timing (1-3 legs).
 
     Stop ids carry a random tag so identities almost never collide across
@@ -80,7 +76,7 @@ def random_route(rng: np.random.Generator, tag: str = "history") -> Route:
         legs.append(make_leg(a, b, t, t + ride, line=f"L{i}", dist=step * float(rng.uniform(1.0, 1.6))))
         t += ride + int(rng.integers(0, 900))
         prev_end = b
-    return Route(legs=tuple(legs), source_tag=tag)
+    return Route(legs=tuple(legs))
 
 
 # ---------------------------------------------------------------------------

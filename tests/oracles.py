@@ -89,7 +89,7 @@ def oracle_enumerate_routes(net, triple, max_legs: int = 3) -> list[Route]:
                             leg_distance=dist,
                         )
                         if alight_sid == dest:
-                            results.append(Route(legs=tuple(legs) + (leg,), source_tag="planner"))
+                            results.append(Route(legs=tuple(legs) + (leg,)))
                         else:
                             extend(legs + [leg], boarded | {board_sid}, dep + ride)
 

@@ -3,7 +3,6 @@ import pytest
 
 from tripforge import (
     CandidateError,
-    HistoryRecord,
     ODTriple,
     Route,
     TripHistory,
@@ -15,8 +14,8 @@ from tripforge import (
 from conftest import make_leg, make_stop
 
 
-def route_between(a, b, depart, ride=900, line="L1", tag="synthetic", dist=None):
-    return Route(legs=(make_leg(a, b, depart, depart + ride, line=line, dist=dist),), source_tag=tag)
+def route_between(a, b, depart, ride=900, line="L1", dist=None):
+    return Route(legs=(make_leg(a, b, depart, depart + ride, line=line, dist=dist),))
 
 
 @pytest.fixture
@@ -33,36 +32,20 @@ class TestHistoryLookup:
 
     def test_frequency_aggregation(self, od_stops):
         o, d = od_stops
-        recs = [
-            HistoryRecord(route=route_between(o, d, 28_500 + 120 * i), day=i, day_type="working")
-            for i in range(3)
-        ]
-        hist = TripHistory(recs)
+        hist = TripHistory(route_between(o, d, 28_500 + 120 * i) for i in range(3))
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
         matches = history_lookup(hist, triple, slot_width=1200)
         assert len(matches) == 1
         route, freq = matches[0]
         assert freq == 3
         assert route.legs[0].board_time == 28_800  # re-anchored
-        assert route.source_tag == "history"
 
     def test_slot_filtering(self, od_stops):
         o, d = od_stops
-        hist = TripHistory(
-            [HistoryRecord(route=route_between(o, d, 40_000), day=0, day_type="working")]
-        )
+        hist = TripHistory([route_between(o, d, 40_000)])
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
         assert history_lookup(hist, triple, slot_width=1200) == []
         assert len(history_lookup(hist, triple, slot_width=86_400)) == 1
-
-    def test_day_type_filtering(self, od_stops):
-        o, d = od_stops
-        hist = TripHistory(
-            [HistoryRecord(route=route_between(o, d, 28_800), day=5, day_type="weekend")]
-        )
-        triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
-        assert history_lookup(hist, triple, day_types={"working"}) == []
-        assert len(history_lookup(hist, triple, day_types={"weekend"})) == 1
 
     def test_reanchoring_preserves_leg_offsets(self, od_stops):
         o, d = od_stops
@@ -72,9 +55,8 @@ class TestHistoryLookup:
                 make_leg(o, mid, 30_000, 30_600, line="A"),
                 make_leg(mid, d, 31_200, 31_800, line="B"),
             ),
-            source_tag="synthetic",
         )
-        hist = TripHistory([HistoryRecord(route=r, day=0, day_type="working")])
+        hist = TripHistory([r])
         triple = ODTriple(origin=o, destination=d, depart_time=29_000, demand_id="t")
         (anchored, _), = history_lookup(hist, triple, slot_width=1800)
         assert anchored.legs[0].board_time == 29_000
@@ -90,19 +72,18 @@ class TestHistoryLookup:
                                ("pink", 1600), ("green", 1800)]
         }
         recs = []
-        day = 0
         # morning: planner-like routes dominate
         for name in ("red", "blue", "magenta"):
             for i in range(4):
                 rt = Route(legs=(make_leg(o, d, 30_000 + i * 60, 30_900 + i * 60, line=name),))
-                recs.append(HistoryRecord(route=rt, day=day, day_type="working"))
+                recs.append(rt)
         # lunch: the slow green route dominates
         for i in range(6):
             rt = Route(legs=(make_leg(o, d, 44_700 + i * 60, 46_500 + i * 60, line="green"),))
-            recs.append(HistoryRecord(route=rt, day=day, day_type="working"))
+            recs.append(rt)
         for name in ("red", "pink"):
             rt = Route(legs=(make_leg(o, d, 45_000, 45_900, line=name),))
-            recs.append(HistoryRecord(route=rt, day=day, day_type="working"))
+            recs.append(rt)
         hist = TripHistory(recs)
 
         lunch = ODTriple(origin=o, destination=d, depart_time=45_000, demand_id="lunch")
@@ -120,26 +101,26 @@ class TestBuildCandidateSet:
     def test_planner_only_uniform(self, od_stops):
         o, d = od_stops
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
-        planner = [route_between(o, d, 28_900, line="A", tag="planner"),
-                   route_between(o, d, 29_000, line="B", tag="planner")]
+        planner = [route_between(o, d, 28_900, line="A"),
+                   route_between(o, d, 29_000, line="B")]
         cs = build_candidate_set(triple, planner, [], lambda_mix=0.5)
         assert cs.weights == (0.5, 0.5)
 
     def test_history_only_frequency_proportional(self, od_stops):
         o, d = od_stops
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
-        history = [(route_between(o, d, 28_800, line="A", tag="history"), 3),
-                   (route_between(o, d, 28_800, line="B", tag="history"), 1)]
+        history = [(route_between(o, d, 28_800, line="A"), 3),
+                   (route_between(o, d, 28_800, line="B"), 1)]
         cs = build_candidate_set(triple, [], history, lambda_mix=0.5)
         assert cs.weights == (0.75, 0.25)
 
     def test_mixture_with_shared_route(self, od_stops):
         o, d = od_stops
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
-        a = route_between(o, d, 28_900, line="A", tag="planner")
-        b = route_between(o, d, 29_000, line="B", tag="planner")
-        b_hist = route_between(o, d, 29_100, line="B", tag="history")
-        c = route_between(o, d, 29_200, line="C", tag="history")
+        a = route_between(o, d, 28_900, line="A")
+        b = route_between(o, d, 29_000, line="B")
+        b_hist = route_between(o, d, 29_100, line="B")
+        c = route_between(o, d, 29_200, line="C")
         cs = build_candidate_set(triple, [a, b], [(b_hist, 3), (c, 1)], lambda_mix=0.5)
         by_line = {r.legs[0].line_id: w for r, w in cs.candidates}
         assert by_line["A"] == pytest.approx(0.25)
@@ -155,8 +136,8 @@ class TestBuildCandidateSet:
     def test_pure_planner_regime_equal_weights(self, od_stops):
         o, d = od_stops
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
-        planner = [route_between(o, d, 28_900, line=l, tag="planner") for l in "ABC"]
-        history = [(route_between(o, d, 29_000, line="Z", tag="history"), 9)]
+        planner = [route_between(o, d, 28_900, line=l) for l in "ABC"]
+        history = [(route_between(o, d, 29_000, line="Z"), 9)]
         cs = build_candidate_set(triple, planner, history, lambda_mix=1.0)
         # history-only candidates carry no mass and vanish; the rest are equal
         assert len(cs) == 3
@@ -167,9 +148,9 @@ class TestBuildCandidateSet:
         o, d = od_stops
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
         lines = ["A", "B", "C", "D"]
-        planner = [route_between(o, d, 28_900, line=l, tag="planner")
+        planner = [route_between(o, d, 28_900, line=l)
                    for l in rng.choice(lines, size=3, replace=False)]
-        history = [(route_between(o, d, 29_000, line=l, tag="history"), int(rng.integers(1, 5)))
+        history = [(route_between(o, d, 29_000, line=l), int(rng.integers(1, 5)))
                    for l in rng.choice(lines, size=2, replace=False)]
         cs = build_candidate_set(triple, planner, history, lambda_mix=0.4)
         assert len(cs) <= len(planner) + len(history)

@@ -260,17 +260,14 @@ class TestCmdGenerate:
     def test_lambda_mix_one_gives_uniform_planner_weights(self, tmp_path, generated_inputs):
         # exercised through the library path for inspection, then via the CLI flag
         from tripforge import io as _io
-        from tripforge.candidates import TripHistory, HistoryRecord, build_candidate_set, history_lookup
+        from tripforge.candidates import TripHistory, build_candidate_set, history_lookup
         from tripforge.planner import k_top_routes
 
         network = _io.read_network(generated_inputs["network"])
         stops = {s.stop_id: s for s in network.stops}
         triples = _io.read_demand(generated_inputs["demand"], stops)
         _, days = _io.read_collection(generated_inputs["root"], network)
-        history = TripHistory(
-            HistoryRecord(route=r, day=d.day, day_type=d.day_type)
-            for d in days for r in d.routes
-        )
+        history = TripHistory(r for d in days for r in d.routes)
         checked = 0
         for triple in triples:
             planner_routes = k_top_routes(network, triple, k=5)
@@ -338,6 +335,30 @@ class TestCmdGenerate:
         assert err.startswith("error: ")
         assert err.rstrip("\n").endswith(f": {collection_message}")
         assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("name, old, new, lineno", [
+        ("network", "\n  seg ", "\n\n  seg ", 11),
+        ("network", "transfer_penalty_s 300", "transfer_penalty_s abc", 2),
+        ("targets", "weight 1.0", "weight x", 2),
+        ("targets", "characteristic full_time", "characteristic", 1),
+    ])
+    def test_malformed_network_or_targets_exits_2(
+        self, tmp_path, generated_inputs, capsys, name, old, new, lineno
+    ):
+        path = generated_inputs[name]
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        rc = main([
+            "generate",
+            "--network", str(generated_inputs["network"]),
+            "--demand", str(generated_inputs["demand"]),
+            "--targets", str(generated_inputs["targets"]),
+            "--iterations", "0",
+            "--out-dir", str(tmp_path / "gen"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: ")
 
     def test_keeps_the_demands_prepare_day_keeps(self, tmp_path, working_days):
         # generate on day 1's demand with day 0 as history is the CLI form of

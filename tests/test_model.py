@@ -95,15 +95,8 @@ class TestRoute:
     def test_identity_ignores_times(self):
         a, b = make_stop("a", 0.0), make_stop("b", 1000.0)
         r1 = Route(legs=(make_leg(a, b, 0, 600),))
-        r2 = Route(legs=(make_leg(a, b, 3600, 4200),), source_tag="history")
+        r2 = Route(legs=(make_leg(a, b, 3600, 4200),))
         assert r1.identity == r2.identity
-
-    def test_distance_ratio(self):
-        a, b = make_stop("a", 0.0), make_stop("b", 2000.0)
-        route = Route(legs=(make_leg(a, b, 0, 600, dist=4000.0),))
-        assert route.distance_ratio() == pytest.approx(
-            great_circle_m(a, b) / 4000.0, rel=1e-12
-        )
 
 
 class TestODTriple:
