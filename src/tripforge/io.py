@@ -224,7 +224,14 @@ def read_trips(path, stops_by_id: dict[str, Stop]):
                 raise FormatError(path, lineno, f"unknown stop {exc.args[0]!r}") from None
             except ValueError as exc:
                 raise FormatError(path, lineno, str(exc)) from None
-        out.append((day, day_type, demand_id, Route(legs=tuple(legs))))
+            if not legs[-1].leg_distance >= 0.0:
+                raise FormatError(path, lineno, f"bad leg distance {dist!r}")
+            if legs[-1].alight_time < legs[-1].board_time:
+                raise FormatError(path, lineno, f"alight_s {at} before board_s {bt}")
+        route = Route(legs=tuple(legs))
+        if not route.ride_distance_m() > 0.0:
+            raise FormatError(path, lineno, "total ride distance is 0")
+        out.append((day, day_type, demand_id, route))
     return out
 
 

@@ -252,7 +252,11 @@ class ChainState:
 
     Owned and mutated by exactly one sampler execution at a time.  The caches
     are integer bin counts (exact under any accept/reject sequence) plus
-    per-characteristic absolute-deviation sums, periodically resynced.
+    per-characteristic absolute-deviation sums, periodically resynced.  The
+    tables the move path reads per proposal are plain Python lists: `counts`
+    holds one list[int] of bin counts per characteristic, and the bins,
+    offsets, set sizes, eligible demands and scaled targets are lists too.
+    `assignment` is an int64 array.
     """
 
     __slots__ = (
@@ -264,6 +268,7 @@ class ChainState:
         "cached_error",
         "weights",
         "eligible",
+        "_sizes",
         "_dev_sums",
         "_scales",
         "_scaled_targets",
@@ -280,7 +285,8 @@ class ChainState:
         assignment = np.asarray(assignment, dtype=np.int64).copy()
         if assignment.shape != (n,):
             raise ValueError("assignment length must match the number of demands")
-        sizes = np.fromiter(map(len, candidate_sets), dtype=np.int64, count=n)
+        weights = [cs.weights for cs in candidate_sets]
+        sizes = np.fromiter(map(len, weights), dtype=np.int64, count=n)
         bad = np.flatnonzero((assignment < 0) | (assignment >= sizes))
         if bad.size:
             raise IndexError(f"assignment[{bad[0]}] out of range for its candidate set")
@@ -289,40 +295,41 @@ class ChainState:
         self.spec = spec
         self.assignment = assignment
         self.n = n
-        self.weights = [cs.weights for cs in candidate_sets]
-        self.eligible = np.flatnonzero(sizes >= 2)
+        self.weights = weights
+        self._sizes = sizes.tolist()
+        self.eligible = np.flatnonzero(sizes >= 2).tolist()
 
         # Candidate c of demand j is row _offsets[j] + c of each
-        # characteristic's bin array.
-        self._offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self._offsets[1:])
-        routes = [route for cs in candidate_sets for route, _ in cs.candidates]
+        # characteristic's bin list.
+        self._offsets = [0, *np.cumsum(sizes).tolist()]
+        values = np.concatenate([cs.characteristics for cs in candidate_sets])
         self._flat_bins = [
-            _bin_indices(e.target.edges, characteristic_values(e.tag, routes))
+            _bin_indices(e.target.edges, values[:, CHARACTERISTICS.index(e.tag)]).tolist()
             for e in spec.entries
         ]
 
         self._scales = tuple(e.weight / n for e in spec.entries)
-        self._scaled_targets = [n * e.target.masses for e in spec.entries]
+        self._scaled_targets = [(n * e.target.masses).tolist() for e in spec.entries]
         self.refresh_caches()
 
     # -- cache maintenance ---------------------------------------------------
 
     def _scratch_counts(self) -> list[np.ndarray]:
-        chosen = self._offsets[:-1] + self.assignment
+        chosen = np.asarray(self._offsets[:-1]) + self.assignment
         return [
-            np.bincount(fb[chosen], minlength=len(st))
+            np.bincount(np.asarray(fb)[chosen], minlength=len(st))
             for fb, st in zip(self._flat_bins, self._scaled_targets)
         ]
 
     def refresh_caches(self) -> None:
         """Recompute histograms and error from scratch."""
-        self.counts = [c.astype(np.int64) for c in self._scratch_counts()]
+        self.counts = [c.tolist() for c in self._scratch_counts()]
         self._resync()
 
     def _resync(self) -> None:
         self._dev_sums = [
-            float(np.abs(counts - nz).sum()) for counts, nz in zip(self.counts, self._scaled_targets)
+            float(np.abs(np.subtract(counts, nz)).sum())
+            for counts, nz in zip(self.counts, self._scaled_targets)
         ]
         self.cached_error = float(
             sum(s * d for s, d in zip(self._scales, self._dev_sums))
@@ -333,7 +340,7 @@ class ChainState:
         """Objective recomputed from scratch, independent of the caches."""
         total = 0.0
         for scale, fresh, nz in zip(self._scales, self._scratch_counts(), self._scaled_targets):
-            total += scale * float(np.abs(fresh - nz).sum())
+            total += scale * float(np.abs(np.subtract(fresh, nz)).sum())
         return total
 
     @property
@@ -360,18 +367,16 @@ def _current_candidate(state: ChainState, j: int, cand: int) -> int:
     """Demand j's current candidate, once j and `cand` are checked in range."""
     if not 0 <= j < state.n:
         raise IndexError(f"demand index {j} out of range")
-    if not 0 <= cand < len(state.candidate_sets[j]):
+    if not 0 <= cand < state._sizes[j]:
         raise IndexError(f"candidate index {cand} out of range for demand {j}")
-    return int(state.assignment[j])
+    return state.assignment.item(j)
 
 
-def _dev_change(counts: np.ndarray, nz: np.ndarray, b_old: int, b_new: int) -> float:
+def _dev_change(counts: list[int], nz: list[float], b_old: int, b_new: int) -> float:
     """Change in sum |counts - nz| when one trip moves from bin b_old to
     another bin b_new."""
-    # Python scalars give the same double arithmetic as numpy's without its
-    # per-operation overhead.
-    c_old, t_old = counts.item(b_old), nz.item(b_old)
-    c_new, t_new = counts.item(b_new), nz.item(b_new)
+    c_old, t_old = counts[b_old], nz[b_old]
+    c_new, t_new = counts[b_new], nz[b_new]
     return (
         abs(c_old - 1 - t_old)
         - abs(c_old - t_old)
@@ -386,11 +391,11 @@ def delta_error(state: ChainState, j: int, cand: int) -> float:
     cur = _current_candidate(state, j, cand)
     if cand == cur:
         return state.cached_error
-    base = state._offsets.item(j)
+    base = state._offsets[j]
     new_error = 0.0
     for ki, (scale, rows) in enumerate(zip(state._scales, state._flat_bins)):
-        b_old = rows.item(base + cur)
-        b_new = rows.item(base + cand)
+        b_old = rows[base + cur]
+        b_new = rows[base + cand]
         dev = state._dev_sums[ki]
         if b_old != b_new:
             dev += _dev_change(state.counts[ki], state._scaled_targets[ki], b_old, b_new)
@@ -404,10 +409,10 @@ def apply_delta(state: ChainState, j: int, cand: int) -> None:
     cur = _current_candidate(state, j, cand)
     if cand == cur:
         return
-    base = state._offsets.item(j)
+    base = state._offsets[j]
     for ki, rows in enumerate(state._flat_bins):
-        b_old = rows.item(base + cur)
-        b_new = rows.item(base + cand)
+        b_old = rows[base + cur]
+        b_new = rows[base + cand]
         if b_old != b_new:
             counts = state.counts[ki]
             state._dev_sums[ki] += _dev_change(counts, state._scaled_targets[ki], b_old, b_new)

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 SECONDS_PER_DAY = 86_400
@@ -192,9 +195,19 @@ class CandidateSet:
     def routes(self) -> tuple[Route, ...]:
         return tuple(route for route, _ in self.candidates)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple(weight for _, weight in self.candidates)
+
+    @cached_property
+    def characteristics(self) -> np.ndarray:
+        """(len, 3) float array of each candidate's characteristic values in
+        `metrics.CHARACTERISTICS` order, computed on first use and carried
+        with the set."""
+        from .metrics import CHARACTERISTICS, characteristic_values  # metrics imports model
+
+        routes = self.routes
+        return np.column_stack([characteristic_values(tag, routes) for tag in CHARACTERISTICS])
 
     def __len__(self) -> int:
         return len(self.candidates)

@@ -55,6 +55,8 @@ class Line:
             raise ValueError(f"line {self.line_id!r}: headway must be positive")
         if any(t <= 0 for t in self.seg_ride_s):
             raise ValueError(f"line {self.line_id!r}: segment ride times must be positive")
+        if not all(d > 0 for d in self.seg_dist_m):
+            raise ValueError(f"line {self.line_id!r}: segment distances must be positive")
         if self.last_dep_s < self.first_dep_s:
             raise ValueError(f"line {self.line_id!r}: empty service window")
 

@@ -122,11 +122,11 @@ def propose(state: ChainState, rng) -> tuple[int, int, float]:
     w_cur (1 - w_cur) / (w_new (1 - w_new)).
     """
     eligible = state.eligible
-    if len(eligible) == 0:
+    if not eligible:
         raise FrozenChainError("all candidate sets are singletons; chain cannot move")
-    j = int(eligible[rng.integers(0, len(eligible))])
+    j = eligible[rng.integers(0, len(eligible))]
     weights = state.weights[j]
-    cur = int(state.assignment[j])
+    cur = state.assignment.item(j)
     w_cur = weights[cur]
     cand = _weighted_draw(weights, rng.random() * (1.0 - w_cur), cur)
     w_new = weights[cand]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tripforge import (
+    EvalConfig,
     Leg,
     ODTriple,
     Route,
@@ -10,6 +11,7 @@ from tripforge import (
     build_grid_network,
     generate_collection,
     great_circle_m,
+    prepare_day,
 )
 
 # Degrees of longitude per meter at the equator (where most toy geometry lives).
@@ -87,6 +89,20 @@ def random_route(rng: np.random.Generator) -> Route:
 @pytest.fixture(scope="session")
 def city_network():
     return build_grid_network(rows=5, cols=6, seed=0)
+
+
+@pytest.fixture(scope="session")
+def prepared_grid_day(city_network):
+    """Day 2 of three 200-trip working days, prepared from the two before it:
+    193 demands with planner and re-anchored history candidates."""
+    cfg = SynthConfig(
+        network=city_network,
+        days=3,
+        day_types=("working",) * 3,
+        trips_per_day=200,
+        seed=21,
+    )
+    return prepare_day(generate_collection(cfg), 2, EvalConfig(seed=4))
 
 
 @pytest.fixture(scope="session")

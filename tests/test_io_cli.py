@@ -341,6 +341,7 @@ class TestCmdGenerate:
         ("network", "transfer_penalty_s 300", "transfer_penalty_s abc", 2),
         ("targets", "weight 1.0", "weight x", 2),
         ("targets", "characteristic full_time", "characteristic", 1),
+        ("network", "  seg 109 617.9995920764502\n", "  seg 109 0\n", 13),
     ])
     def test_malformed_network_or_targets_exits_2(
         self, tmp_path, generated_inputs, capsys, name, old, new, lineno
@@ -464,6 +465,26 @@ class TestCmdEval:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: row[:8] + ["-1.0"] + row[9:],  # a negative leg distance
+        lambda row: row[:7] + [str(int(row[5]) - 1)] + row[8:],  # alights before boarding
+        lambda row: [f if (i - 8) % 6 or i < 8 else "0" for i, f in enumerate(row)],  # rides 0 m
+    ])
+    def test_bad_trip_record_exits_2(self, tmp_path, generated_inputs, capsys, edit):
+        trips = generated_inputs["root"] / "day_000_working.trips"
+        first, *rest = trips.read_text(encoding="utf-8").splitlines(keepends=True)
+        trips.write_text(",".join(edit(first.rstrip("\n").split(","))) + "\n" + "".join(rest),
+                         encoding="utf-8")
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(generated_inputs["root"]),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {trips}:1: ")
 
     def test_unknown_mode_rejected(self, tmp_path, generated_inputs, capsys):
         rc = main([

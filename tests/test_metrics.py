@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from tripforge import (
     total_error,
     transfer_time,
 )
+from tripforge import metrics
 from tripforge.metrics import _bin_indices, characteristic_values
 
 from conftest import make_leg, make_stop, random_route, straight_route
@@ -466,6 +468,35 @@ def chain_cases(draw):
     moves = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans()),
                           max_size=300))
     return sets, MismatchSpec(entries=tuple(entries)), assignment, moves
+
+
+class TestCarriedCharacteristics:
+    def test_carried_values_equal_the_scalar_functions(self, prepared_grid_day):
+        sets = prepared_grid_day.candidate_sets
+        provenance = [p for cs in sets for p in cs.provenance]
+        assert any(hits and not freq for hits, freq in provenance)
+        assert any(freq and not hits for hits, freq in provenance)  # re-anchored history
+        for cs in sets:
+            assert cs.characteristics.shape == (len(cs), len(CHARACTERISTICS))
+            for col, tag in enumerate(CHARACTERISTICS):
+                assert np.array_equal(cs.characteristics[:, col], characteristic_values(tag, cs.routes))
+
+    def test_second_build_calls_no_characteristic_function(self, prepared_grid_day, monkeypatch):
+        calls = []
+        for tag, fn in list(metrics._CHARACTERISTIC_FN.items()):
+            monkeypatch.setitem(
+                metrics._CHARACTERISTIC_FN, tag, lambda route, fn=fn: calls.append(1) or fn(route)
+            )
+        sets = [dataclasses.replace(cs) for cs in prepared_grid_day.candidate_sets]
+        spec = prepared_grid_day.spec
+        zeros = np.zeros(len(sets), dtype=np.int64)
+        first = ChainState(sets, spec, zeros)
+        assert len(calls) == len(CHARACTERISTICS) * sum(map(len, sets))
+        calls.clear()
+        second = ChainState(sets, spec, zeros)
+        assert not calls
+        assert second._flat_bins == first._flat_bins
+        assert second.cached_error == first.cached_error
 
 
 class TestChainStateProperties:

@@ -31,9 +31,10 @@ def grid_stop(sid, x_m, y_m=0.0):
 
 def simple_line(line_id, stops, ride_s=300, headway=600, first=6 * 3600, last=22 * 3600):
     n = len(stops) - 1
+    # Line rejects a segment of 0 m, so stops drawn at one point are 1 m apart.
     dists = tuple(
-        1.05 * 111_195.0 * abs(stops[i + 1].lon - stops[i].lon)
-        + 1.05 * 111_195.0 * abs(stops[i + 1].lat - stops[i].lat)
+        max(1.0, 1.05 * 111_195.0 * abs(stops[i + 1].lon - stops[i].lon)
+            + 1.05 * 111_195.0 * abs(stops[i + 1].lat - stops[i].lat))
         for i in range(n)
     )
     return Line(

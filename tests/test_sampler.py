@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,25 @@ class TestRun:
         ]
         assert repr(trace.final_state.cached_error) == "4.571569808912311"
         assert [cp.acceptance_rate for cp in trace.checkpoints] == [0.0, 0.845, 0.866, 0.894]
+
+    def test_pinned_results_on_a_prepared_day(self, prepared_grid_day):
+        # 20 sweeps over a prepared working day (193 demands, 857 candidates,
+        # 54/34/32 bins in use): a realistic bin spread for the cached counts.
+        sets, spec = prepared_grid_day.candidate_sets, prepared_grid_day.spec
+        cfg = SamplerConfig(
+            iterations=20 * len(sets), seed=5, checkpoint_every=1_000,
+            schedule=AnnealingSchedule(l0=1.0, decay=0.05, l_min=1e-6),
+        )
+        trace = run(sets, spec, cfg)
+        best = trace.best_state.assignment.astype("<i8").tobytes()
+        assert hashlib.sha256(best).hexdigest() == (
+            "94f3479e5c007db1286a7e8fe644effd824bbe1349ced5bca1298df4e58226e5"
+        )
+        assert repr(trace.best_error) == "0.675259067357513"
+        assert repr(trace.final_state.cached_error) == "0.675259067357513"
+        assert [cp.acceptance_rate for cp in trace.checkpoints] == [
+            0.0, 0.588, 0.124, 0.075, 0.08372093023255814,
+        ]
 
     def test_cache_coherent_after_run(self):
         rng = np.random.default_rng(31)
