@@ -78,12 +78,15 @@ def parse_synth_config(path) -> SynthConfig:
     if "network" in values:
         network = io.read_network(values.pop("network"))
     else:
-        network = build_grid_network(
-            rows=int(values.pop("grid_rows", 5)),
-            cols=int(values.pop("grid_cols", 6)),
-            spacing_m=float(values.pop("grid_spacing_m", 600.0)),
-            seed=int(values.pop("network_seed", 0)),
-        )
+        try:
+            network = build_grid_network(
+                rows=int(values.pop("grid_rows", 5)),
+                cols=int(values.pop("grid_cols", 6)),
+                spacing_m=float(values.pop("grid_spacing_m", 600.0)),
+                seed=int(values.pop("network_seed", 0)),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"grid network: {exc}") from None
     for key in ("grid_rows", "grid_cols", "grid_spacing_m", "network_seed"):
         values.pop(key, None)
 

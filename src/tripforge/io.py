@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# Whitespace separates the fields of the network and targets files, commas
+# those of the trips and demand files.
+_NOT_IN_IDS = re.compile(r"[\s,]")
+
+
+def _id(value: str) -> str:
+    """value, when a file can carry it as one field; ValueError otherwise."""
+    if not value or _NOT_IN_IDS.search(value):
+        raise ValueError(f"id {value!r} cannot be written: ids are non-empty, "
+                         "without whitespace or commas")
+    return value
+
+
+def _stop_name(name: str | None) -> str:
+    """The end of a stop line: a space and the name, read back verbatim."""
+    if not name:
+        return ""
+    if name != name.strip() or len(name.splitlines()) != 1:
+        raise ValueError(f"stop name {name!r} cannot be written: it must not start or "
+                         "end with whitespace or hold a line break")
+    return f" {name}"
+
+
 # ---------------------------------------------------------------------------
 # Network file: key/value lines, nested line blocks closed by "end".
 # ---------------------------------------------------------------------------
@@ -51,11 +76,10 @@ def write_network(net: TransitNetwork, path) -> None:
     out.append(f"walk_speed_mps {_fmt(net.walk_speed_mps)}")
     out.append(f"max_walk_m {_fmt(net.max_walk_m)}")
     for s in net.stops:
-        name = f" {s.name}" if s.name else ""
-        out.append(f"stop {s.stop_id} {_fmt(s.lat)} {_fmt(s.lon)}{name}")
+        out.append(f"stop {_id(s.stop_id)} {_fmt(s.lat)} {_fmt(s.lon)}{_stop_name(s.name)}")
     for line in net.lines:
         out.append(
-            f"line {line.line_id} headway {line.headway_s} "
+            f"line {_id(line.line_id)} headway {line.headway_s} "
             f"first {line.first_dep_s} last {line.last_dep_s}"
         )
         out.append(f"  stop {line.stop_ids[0]}")
@@ -68,13 +92,16 @@ def write_network(net: TransitNetwork, path) -> None:
 
 def _field(path, lineno: int, parts: list[str], at: int, conv=float):
     """parts[at] parsed by conv; a FormatError at path:lineno when it is
-    missing or does not parse."""
+    missing, does not parse, or is a float that is not finite."""
     if at >= len(parts):
         raise FormatError(path, lineno, f"{parts[0]}: missing value")
     try:
-        return conv(parts[at])
+        value = conv(parts[at])
+        if conv is float and not math.isfinite(value):
+            raise ValueError
     except ValueError:
         raise FormatError(path, lineno, f"{parts[0]}: bad {conv.__name__} {parts[at]!r}") from None
+    return value
 
 
 def read_network(path) -> TransitNetwork:
@@ -102,9 +129,10 @@ def read_network(path) -> TransitNetwork:
         elif key == "max_walk_m":
             max_walk = _field(path, lineno, parts, 1)
         elif key == "stop":
+            parts = raw.split(None, 4)  # the name is the rest of the line, spaces and all
             if len(parts) < 4:
                 fail(lineno, "stop needs: stop <id> <lat> <lon> [name]")
-            name = " ".join(parts[4:]) or None
+            name = parts[4].rstrip() if len(parts) == 5 else None
             try:
                 stops.append(Stop(parts[1], float(parts[2]), float(parts[3]), name))
             except ValueError as exc:
@@ -172,14 +200,14 @@ def write_trips(records, path) -> None:
     """records: iterable of (day, day_type, demand_id, Route)."""
     rows = []
     for day, day_type, demand_id, route in records:
-        row = [str(day), day_type, demand_id]
+        row = [str(day), day_type, _id(demand_id)]
         for leg in route.legs:
             row.extend(
                 [
-                    leg.line_id,
-                    leg.board_stop.stop_id,
+                    _id(leg.line_id),
+                    _id(leg.board_stop.stop_id),
                     str(leg.board_time),
-                    leg.alight_stop.stop_id,
+                    _id(leg.alight_stop.stop_id),
                     str(leg.alight_time),
                     _fmt(leg.leg_distance),
                 ]
@@ -224,7 +252,7 @@ def read_trips(path, stops_by_id: dict[str, Stop]):
                 raise FormatError(path, lineno, f"unknown stop {exc.args[0]!r}") from None
             except ValueError as exc:
                 raise FormatError(path, lineno, str(exc)) from None
-            if not legs[-1].leg_distance >= 0.0:
+            if not (math.isfinite(legs[-1].leg_distance) and legs[-1].leg_distance >= 0.0):
                 raise FormatError(path, lineno, f"bad leg distance {dist!r}")
             if legs[-1].alight_time < legs[-1].board_time:
                 raise FormatError(path, lineno, f"alight_s {at} before board_s {bt}")
@@ -243,7 +271,8 @@ def read_trips(path, stops_by_id: dict[str, Stop]):
 def write_demand(triples, path) -> None:
     rows = []
     for t in triples:
-        row = [t.demand_id, t.origin.stop_id, t.destination.stop_id, str(t.depart_time)]
+        row = [_id(t.demand_id), _id(t.origin.stop_id), _id(t.destination.stop_id),
+               str(t.depart_time)]
         if t.round_trip_allowed:
             row.append("1")
         rows.append(",".join(row))
@@ -337,10 +366,12 @@ def read_targets(path) -> MismatchSpec:
             elif kind == "gaussian_mixture":
                 target = gaussian_mixture_target(components, edges)
             else:
-                fail(lineno, f"characteristic {tag!r}: unknown kind {kind!r}")
-        except (ValueError, KeyError) as exc:
+                raise ValueError(f"unknown kind {kind!r}")
+            entries.append(MismatchEntry(tag=tag, target=target, weight=block.get("weight", 1.0)))
+        except KeyError as exc:
+            fail(lineno, f"characteristic {tag!r}: kind {kind} needs {exc.args[0]!r}")
+        except ValueError as exc:
             fail(lineno, f"characteristic {tag!r}: {exc}")
-        entries.append(MismatchEntry(tag=tag, target=target, weight=block.get("weight", 1.0)))
         block = None
         components = []
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .model import Route
 
@@ -139,7 +138,13 @@ class TargetDistribution:
     def __post_init__(self) -> None:
         if len(self.masses) != len(self.edges) - 1:
             raise ValueError("target needs len(edges) - 1 masses")
-        if abs(float(self.masses.sum()) - 1.0) > 1e-6:
+        if not (np.all(np.isfinite(self.edges)) and np.all(np.diff(self.edges) > 0)):
+            raise ValueError("target edges must be finite and strictly increasing")
+        # Masses hold only to the 1e-6 of the sum test: a discretized mixture
+        # whose weights sum to 1 + 1 ulp leaves -2.2e-16 in its last bin.
+        if not np.all(self.masses >= -1e-6):
+            raise ValueError("target masses must be non-negative numbers")
+        if not abs(float(self.masses.sum()) - 1.0) <= 1e-6:
             raise ValueError(f"target masses sum to {self.masses.sum()}, expected 1 +- 1e-6")
 
 
@@ -149,9 +154,15 @@ def empirical_target(hist: Histogram) -> TargetDistribution:
     return TargetDistribution(kind="empirical", edges=hist.edges, masses=hist.masses.copy())
 
 
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def beta_target(alpha: float, beta: float, edges: np.ndarray | None = None) -> TargetDistribution:
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("beta target requires alpha > 0 and beta > 0")
+    if not (_finite_positive(alpha) and _finite_positive(beta)):
+        raise ValueError("beta target requires finite alpha > 0 and beta > 0")
+    from scipy import stats  # only parametric targets need scipy; it is slow to import
+
     if edges is None:
         edges = DEFAULT_EDGES[ANGLE_RATIO]
     edges = np.asarray(edges, dtype=float)
@@ -165,8 +176,10 @@ def beta_target(alpha: float, beta: float, edges: np.ndarray | None = None) -> T
 def poisson_target(lam: float, edges: np.ndarray) -> TargetDistribution:
     """Poisson over the bin index: bin i receives pmf(i), the open tail folds
     into the last bin."""
-    if lam < 0:
-        raise ValueError("poisson target requires lambda >= 0")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("poisson target requires a finite lambda >= 0")
+    from scipy import stats
+
     edges = np.asarray(edges, dtype=float)
     nbins = len(edges) - 1
     masses = stats.poisson.pmf(np.arange(nbins), lam)
@@ -180,14 +193,19 @@ def gaussian_mixture_target(
     """components: (weight, mean, stddev) in characteristic units."""
     if not components:
         raise ValueError("gaussian mixture needs at least one component")
+    for weight, mean, std in components:
+        if not (math.isfinite(weight) and weight >= 0 and math.isfinite(mean)):
+            raise ValueError("mixture component weight and mean must be finite, weight >= 0")
+        if not _finite_positive(std):
+            raise ValueError("mixture component stddev must be finite and positive")
     wsum = sum(w for w, _, _ in components)
     if abs(wsum - 1.0) > 1e-9:
         raise ValueError(f"mixture weights sum to {wsum}, expected 1")
+    from scipy import stats
+
     edges = np.asarray(edges, dtype=float)
     cdf = np.zeros(len(edges))
     for weight, mean, std in components:
-        if std <= 0:
-            raise ValueError("mixture component stddev must be positive")
         cdf += weight * stats.norm.cdf(edges, loc=mean, scale=std)
     masses = np.diff(cdf)
     masses[0] += cdf[0]
@@ -202,6 +220,10 @@ class MismatchEntry:
     tag: str
     target: TargetDistribution
     weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"weight must be finite and >= 0, got {self.weight}")
 
 
 @dataclass(frozen=True)

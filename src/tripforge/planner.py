@@ -55,8 +55,8 @@ class Line:
             raise ValueError(f"line {self.line_id!r}: headway must be positive")
         if any(t <= 0 for t in self.seg_ride_s):
             raise ValueError(f"line {self.line_id!r}: segment ride times must be positive")
-        if not all(d > 0 for d in self.seg_dist_m):
-            raise ValueError(f"line {self.line_id!r}: segment distances must be positive")
+        if not all(math.isfinite(d) and d > 0 for d in self.seg_dist_m):
+            raise ValueError(f"line {self.line_id!r}: segment distances must be finite and > 0")
         if self.last_dep_s < self.first_dep_s:
             raise ValueError(f"line {self.line_id!r}: empty service window")
 
@@ -70,6 +70,12 @@ class TransitNetwork:
     max_walk_m: float = 800.0
 
     def __post_init__(self) -> None:
+        if self.transfer_penalty_s < 0:
+            raise ValueError(f"transfer_penalty_s must be >= 0, got {self.transfer_penalty_s}")
+        if not (math.isfinite(self.walk_speed_mps) and self.walk_speed_mps > 0):
+            raise ValueError(f"walk_speed_mps must be finite and > 0, got {self.walk_speed_mps}")
+        if not (math.isfinite(self.max_walk_m) and self.max_walk_m >= 0):
+            raise ValueError(f"max_walk_m must be finite and >= 0, got {self.max_walk_m}")
         ids = [s.stop_id for s in self.stops]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate stop ids in network")

@@ -31,10 +31,10 @@ class AnnealingSchedule:
     def __post_init__(self) -> None:
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
-        if self.l_min <= 0.0:
-            raise ValueError("l_min must be positive")
-        if self.l0 < self.l_min:
-            raise ValueError("l0 must be at least l_min")
+        if not (math.isfinite(self.l_min) and self.l_min > 0.0):
+            raise ValueError(f"l_min must be finite and positive, got {self.l_min}")
+        if not (math.isfinite(self.l0) and self.l0 >= self.l_min):
+            raise ValueError(f"l0 must be finite and at least l_min, got {self.l0}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class SamplerConfig:
             raise ValueError("iterations must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

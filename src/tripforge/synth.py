@@ -178,6 +178,11 @@ class SynthConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.p_round + self.p_detour > 1.0:
             raise ValueError("p_round + p_detour must not exceed 1")
+        for name in ("detour_rank_decay", "dwell_mean_s", "round_dwell_mean_s",
+                     "weekend_round_factor", "weekend_dwell_factor"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.trips_per_day < 1:
             raise ValueError("trips_per_day must be >= 1")
         if self.days < 1:

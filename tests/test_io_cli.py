@@ -1,8 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tripforge
 from tripforge import (
     DEFAULT_EDGES,
     FULL_TIME,
@@ -189,6 +195,18 @@ class TestCmdSynth:
         assert rc == 2
         assert "p_round" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("dwell_mean_s", "nan"), ("round_dwell_mean_s", "-5"), ("detour_rank_decay", "-1"),
+        ("weekend_dwell_factor", "inf"), ("grid_spacing_m", "nan"), ("grid_spacing_m", "0"),
+    ])
+    def test_bad_number_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "synth.cfg"
+        write_synth_config(cfg_path, **{key: value})
+        rc = main(["synth", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "synth.cfg"
         write_synth_config(cfg_path, bogus_knob=3)
@@ -361,6 +379,31 @@ class TestCmdGenerate:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: ")
 
+    @pytest.mark.parametrize("block, lineno", [
+        ("weight -1\nkind beta\nalpha 2\nbeta 2", 6),
+        ("weight nan\nkind beta\nalpha 2\nbeta 2", 2),
+        ("kind beta\nalpha nan\nbeta 2", 3),
+        ("kind beta\nalpha 2\nbeta inf", 4),
+        ("kind poisson\nlambda -1\nedges 0 0.5 1", 5),
+        ("kind gaussian_mixture\ncomponent 1.5 0.5 0.1\ncomponent -0.5 0.5 0.1", 5),
+        ("kind empirical\nedges 0 0.5 1\nmasses 1.5 -0.5", 5),
+        ("kind empirical\nedges 0 1 0.5\nmasses 0.5 0.5", 5),
+    ], ids=["weight-negative", "weight-nan", "alpha-nan", "beta-inf", "lambda-negative",
+            "mixture-negative-weight", "masses-negative", "edges-decreasing"])
+    def test_invalid_target_values_exit_2(self, tmp_path, generated_inputs, capsys, block, lineno):
+        targets = generated_inputs["targets"]
+        targets.write_text(f"characteristic angle_ratio\n{block}\nend\n", encoding="utf-8")
+        rc = main([
+            "generate",
+            "--network", str(generated_inputs["network"]),
+            "--demand", str(generated_inputs["demand"]),
+            "--targets", str(targets),
+            "--iterations", "0",
+            "--out-dir", str(tmp_path / "gen"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {targets}:{lineno}: ")
+
     def test_keeps_the_demands_prepare_day_keeps(self, tmp_path, working_days):
         # generate on day 1's demand with day 0 as history is the CLI form of
         # prepare_day(day 1): both must serve the same demands
@@ -466,6 +509,25 @@ class TestCmdEval:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--l0", "nan"), ("--l0", "inf"), ("--l-min", "nan"), ("--l-min", "inf"),
+        ("--epsilon", "nan"), ("--epsilon", "inf"),
+    ])
+    def test_non_finite_sampler_flag_exits_2(self, tmp_path, generated_inputs, capsys, flag,
+                                             value):
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(generated_inputs["root"]),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+            flag, value,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda row: row[:8] + ["-1.0"] + row[9:],  # a negative leg distance
         lambda row: row[:7] + [str(int(row[5]) - 1)] + row[8:],  # alights before boarding
@@ -502,6 +564,31 @@ class TestCmdEval:
         ])
         assert rc == 2
         assert "test-day" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_cli_runs_without_loading_scipy(self, tmp_path):
+        # scipy.stats takes most of a cold `import tripforge`; only the
+        # parametric targets need it, and they import it themselves.
+        write_synth_config(tmp_path / "synth.cfg")
+        script = textwrap.dedent(f"""
+            import sys
+            import tripforge, tripforge.cli
+            root = {str(tmp_path)!r}
+            assert tripforge.cli.main(["synth", "--config", root + "/synth.cfg",
+                                       "--out-dir", root + "/c"]) == 0
+            assert tripforge.cli.main(["eval", "--mode", "oneday", "--history-dir", root + "/c",
+                                       "--test-day", "1", "--iterations", "200",
+                                       "--out-dir", root + "/ev"]) == 0
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+        src = str(Path(tripforge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestParseSynthConfig:

@@ -206,6 +206,47 @@ class TestTargets:
         with pytest.raises(ValueError):
             beta_target(0.0, 1.0)
 
+    def test_parametric_targets_equal_a_direct_scipy_computation(self):
+        def folded(cdf):
+            masses = np.diff(cdf)
+            masses[0] += cdf[0]
+            masses[-1] += 1.0 - cdf[-1]
+            return masses
+
+        edges = DEFAULT_EDGES[ANGLE_RATIO]
+        assert np.array_equal(beta_target(0.26, 0.24).masses,
+                              folded(stats.beta.cdf(edges, 0.26, 0.24)))
+        edges = DEFAULT_EDGES[TRANSFER_TIME]
+        poisson = stats.poisson.pmf(np.arange(len(edges) - 1), 3.5)
+        poisson[-1] += 1.0 - stats.poisson.cdf(len(edges) - 2, 3.5)
+        assert np.array_equal(poisson_target(3.5, edges).masses, poisson)
+        edges = DEFAULT_EDGES[FULL_TIME]
+        components = [(0.6, 1200.0, 300.0), (0.4, 3600.0, 600.0)]
+        cdf = np.zeros(len(edges))
+        for weight, mean, std in components:
+            cdf += weight * stats.norm.cdf(edges, loc=mean, scale=std)
+        assert np.array_equal(gaussian_mixture_target(components, edges).masses, folded(cdf))
+
+    @pytest.mark.parametrize("build", [
+        lambda: beta_target(math.nan, 1.0),
+        lambda: beta_target(1.0, math.inf),
+        lambda: poisson_target(math.nan, DEFAULT_EDGES[TRANSFER_TIME]),
+        lambda: poisson_target(math.inf, DEFAULT_EDGES[TRANSFER_TIME]),
+        lambda: gaussian_mixture_target([(1.0, 0.0, math.nan)], DEFAULT_EDGES[FULL_TIME]),
+        lambda: gaussian_mixture_target([(1.0, math.inf, 1.0)], DEFAULT_EDGES[FULL_TIME]),
+        lambda: gaussian_mixture_target([(math.nan, 0.0, 1.0)], DEFAULT_EDGES[FULL_TIME]),
+        lambda: TargetDistribution("empirical", np.arange(4.0), np.array([0.5, math.nan, 0.5])),
+        lambda: TargetDistribution("empirical", np.arange(3.0), np.array([1.5, -0.5])),
+        lambda: TargetDistribution("empirical", np.array([0.0, math.inf, 2.0]), np.full(2, 0.5)),
+        lambda: TargetDistribution("empirical", np.array([0.0, math.nan, 2.0]), np.full(2, 0.5)),
+        lambda: TargetDistribution("empirical", np.array([0.0, 2.0, 1.0]), np.full(2, 0.5)),
+        lambda: MismatchEntry(FULL_TIME, target([1.0]), weight=-1.0),
+        lambda: MismatchEntry(FULL_TIME, target([1.0]), weight=math.nan),
+    ])
+    def test_non_finite_or_negative_values_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestFits:
     def test_poisson_degenerate(self):
