@@ -48,7 +48,7 @@ cfg = SynthConfig(network=net, days=2, day_types=("working", "working"),
 history_day = generate_day(cfg, 0)
 test_day = generate_day(cfg, 1)
 collection = SynthCollection(
-    config=cfg,
+    network=net,
     days=(
         DayData(day=0, day_type="working", triples=tuple(history_day[0]), routes=tuple(history_day[1])),
         DayData(day=1, day_type="working", triples=tuple(test_day[0]), routes=tuple(test_day[1])),

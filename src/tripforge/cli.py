@@ -7,6 +7,7 @@ failures (unreachable demand, frozen chain, missing data).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -36,7 +37,9 @@ _SYNTH_FLOAT_KEYS = {
     "round_dwell_mean_s", "weekend_round_factor", "weekend_dwell_factor",
     "grid_spacing_m",
 }
-_PROBABILITY_KEYS = {"p_round", "p_detour", "weekend_scale"}
+# Config keys of the grid network and the `build_grid_network` argument each sets.
+_GRID_KEYS = {"grid_rows": "rows", "grid_cols": "cols", "grid_spacing_m": "spacing_m",
+              "network_seed": "seed"}
 
 
 def parse_synth_config(path) -> SynthConfig:
@@ -71,24 +74,14 @@ def parse_synth_config(path) -> SynthConfig:
         else:
             raise ConfigError(f"unknown field {key!r}")
 
-    for key in _PROBABILITY_KEYS:
-        if key in values and not 0.0 <= values[key] <= 1.0:
-            raise ConfigError(f"field {key!r}: probability {values[key]} outside [0, 1]")
-
+    grid = {arg: values.pop(key) for key, arg in _GRID_KEYS.items() if key in values}
     if "network" in values:
         network = io.read_network(values.pop("network"))
     else:
         try:
-            network = build_grid_network(
-                rows=int(values.pop("grid_rows", 5)),
-                cols=int(values.pop("grid_cols", 6)),
-                spacing_m=float(values.pop("grid_spacing_m", 600.0)),
-                seed=int(values.pop("network_seed", 0)),
-            )
+            network = build_grid_network(**grid)
         except ValueError as exc:
             raise ConfigError(f"grid network: {exc}") from None
-    for key in ("grid_rows", "grid_cols", "grid_spacing_m", "network_seed"):
-        values.pop(key, None)
 
     day_types = values.pop("day_types", None)
     if day_types is not None:
@@ -129,9 +122,7 @@ def cmd_generate(args) -> int:
     day, day_type = io.parse_day_file_name(args.demand) or (0, WORKING)
     spec = io.read_targets(args.targets)
     history_days = io.read_collection(args.history_dir, network)[1] if args.history_dir else []
-    candidate_sets, kept, dropped = evaluation.build_candidates(
-        network, history_days, triples, cfg
-    )
+    candidate_sets, dropped = evaluation.build_candidates(network, history_days, triples, cfg)
 
     trace = run(candidate_sets, spec, cfg.sampler_config())
 
@@ -140,13 +131,13 @@ def cmd_generate(args) -> int:
     io.write_trace(trace, out / "trace.csv")
     routes = trace.best_state.assigned_routes()
     io.write_trips(
-        [(day, day_type, t.demand_id, r) for t, r in zip(kept, routes)],
+        [(day, day_type, cs.triple.demand_id, r) for cs, r in zip(candidate_sets, routes)],
         out / "assigned.trips",
     )
     if dropped:
         (out / "dropped.txt").write_text("\n".join(dropped) + "\n", encoding="utf-8")
     print(
-        f"assigned {len(kept)} demands (dropped {len(dropped)}); "
+        f"assigned {len(candidate_sets)} demands (dropped {len(dropped)}); "
         f"error {trace.initial_error:.4f} -> {trace.best_error:.4f}"
     )
     return 0
@@ -175,13 +166,7 @@ def cmd_eval(args) -> int:
     network, days = io.read_collection(args.history_dir)
     if not days:
         raise ConfigError(f"no day files found in {args.history_dir}")
-    synth_cfg = SynthConfig(
-        network=network,
-        days=len(days),
-        day_types=tuple(d.day_type for d in days),
-        trips_per_day=max(len(d.triples) for d in days),
-    )
-    collection = SynthCollection(config=synth_cfg, days=tuple(days))
+    collection = SynthCollection(network=network, days=tuple(days))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -216,18 +201,7 @@ def cmd_eval(args) -> int:
         print(f"evaluated {len(result.rows)} days -> {out / 'online.csv'}")
     elif args.mode == "daytype":
         result = evaluation.daytype_mix_eval(collection, cfg)
-        io.write_table(
-            [
-                {
-                    "test_day": r.test_day,
-                    "day_type": r.day_type,
-                    "matched_error": r.matched_error,
-                    "pooled_error": r.pooled_error,
-                }
-                for r in result.rows
-            ],
-            out / "daytype.csv",
-        )
+        io.write_table([dataclasses.asdict(r) for r in result.rows], out / "daytype.csv")
         print(f"evaluated {len(result.rows)} days -> {out / 'daytype.csv'}")
     else:
         raise ConfigError(f"unknown eval mode {args.mode!r}")

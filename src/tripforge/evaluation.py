@@ -4,6 +4,7 @@ working-day/weekend pooling comparison.
 
 Targets and candidate histories for a test day are built strictly from
 earlier days; the test day's observed routes enter only the final report.
+A day can be tested when an earlier day of its own type holds a trip.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .metrics import (
     FULL_TIME,
     TRANSFER_TIME,
 )
-from .model import WORKING, CandidateSet, ODTriple, Route
+from .model import WORKING, CandidateSet, Route
 from .planner import TransitNetwork, k_top_routes
 from .sampler import AnnealingSchedule, RunTrace, SamplerConfig, run
-from .synth import SynthCollection
+from .synth import DayData, SynthCollection
 
 
 class EvalError(ValueError):
@@ -192,7 +193,6 @@ class PreparedDay:
     day_type: str
     spec: MismatchSpec
     candidate_sets: tuple[CandidateSet, ...]
-    kept_triples: tuple[ODTriple, ...]
     dropped_demands: tuple[str, ...]
     prior_days: tuple[int, ...]
 
@@ -229,17 +229,16 @@ def build_candidates(
     history_days,
     triples,
     cfg: EvalConfig,
-) -> tuple[tuple[CandidateSet, ...], tuple[ODTriple, ...], tuple[str, ...]]:
+) -> tuple[tuple[CandidateSet, ...], tuple[str, ...]]:
     """Candidate sets for each demand from the planner's top `cfg.planner_k`
     routes and the observed routes of `history_days` within
     `cfg.slot_width_s` of its departure.  A demand with neither gets history
     routes from the whole service day; a demand still without any is dropped.
 
-    Returns (candidate sets, kept triples, dropped demand ids).
+    Returns (candidate sets, dropped demand ids).
     """
     history = TripHistory(r for d in history_days for r in d.routes)
     candidate_sets = []
-    kept = []
     dropped = []
     for triple in triples:
         planner_routes = k_top_routes(network, triple, k=cfg.planner_k)
@@ -252,10 +251,19 @@ def build_candidates(
         candidate_sets.append(
             build_candidate_set(triple, planner_routes, hist_routes, cfg.lambda_mix)
         )
-        kept.append(triple)
     if not candidate_sets:
         raise EvalError("no demand could be given any candidate route")
-    return tuple(candidate_sets), tuple(kept), tuple(dropped)
+    return tuple(candidate_sets), tuple(dropped)
+
+
+def _target_days(collection: SynthCollection, test: DayData) -> list[DayData]:
+    """The earlier days of the test day's type that hold trips: the days its
+    targets learn from.  A day can be tested when this is not empty; the
+    protocols test exactly those days.  Reads no route of the test day."""
+    return [
+        d for d in collection.days
+        if d.day < test.day and d.day_type == test.day_type and d.routes
+    ]
 
 
 def prepare_day(
@@ -266,24 +274,22 @@ def prepare_day(
     """Build targets and candidate sets for a test day from strictly earlier
     days.  The demand is the test day's triples — never its routes.
 
-    Targets pool the prior days of the test day's type.  Candidate history
-    draws on all prior days: the day-type split concerns the desired
-    distributions, not which routes exist.
+    Targets pool the prior days of the test day's type that hold trips.
+    Candidate history draws on all prior days: the day-type split concerns
+    the desired distributions, not which routes exist.
     """
     test = collection.day(test_day)
-    prior_all = [d for d in collection.days if d.day < test_day]
-    prior_target = [d for d in prior_all if d.day_type == test.day_type]
+    prior_target = _target_days(collection, test)
     if not prior_target:
-        raise EvalError(f"day {test_day}: no prior {test.day_type} day to learn from")
-    candidate_sets, kept, dropped = build_candidates(
-        collection.config.network, prior_all, test.triples, cfg
+        raise EvalError(f"day {test_day}: no earlier {test.day_type} day with trips to learn from")
+    candidate_sets, dropped = build_candidates(
+        collection.network, [d for d in collection.days if d.day < test_day], test.triples, cfg
     )
     return PreparedDay(
         test_day=test_day,
         day_type=test.day_type,
         spec=_target_spec(prior_target),
         candidate_sets=candidate_sets,
-        kept_triples=kept,
         dropped_demands=dropped,
         prior_days=tuple(d.day for d in prior_target),
     )
@@ -352,31 +358,32 @@ def online_eval(
     day_types: tuple[str, ...] = (WORKING,),
     cfg: EvalConfig | None = None,
 ) -> OnlineResult:
-    """Chronological evaluation: each day is tested against a model built from
-    all previously observed days of the admitted types."""
+    """Chronological evaluation: every day of `day_types` that can be tested
+    is generated as `prepare_day` prepares it, with candidate history from
+    all earlier days and targets from the earlier days of its own type.
+
+    Raises EvalError when no such day can be tested.
+    """
     cfg = cfg or EvalConfig()
-    wanted = set(day_types)
-    days = [d for d in collection.days if d.day_type in wanted]
-    if len(days) < 2:
-        raise EvalError("online evaluation needs at least two days of the requested types")
     rows = []
-    for d in days:
-        prior_count = sum(1 for p in days if p.day < d.day)
-        if prior_count == 0:
+    for d in collection.days:
+        if d.day_type not in day_types or not _target_days(collection, d):
             continue
-        result = one_day_eval(collection, d.day, cfg)
-        trace = result.trace
+        prepared = prepare_day(collection, d.day, cfg)
+        trace = run(prepared.candidate_sets, prepared.spec, cfg.sampler_config(seed_offset=d.day))
         rows.append(
             OnlineRow(
                 test_day=d.day,
                 day_type=d.day_type,
-                prior_days=len(result.prepared.prior_days),
+                prior_days=len(prepared.prior_days),
                 checkpoint_errors=tuple((c.iteration, c.best_error) for c in trace.checkpoints),
-                final_error=result.final_error,
-                initial_error=result.initial_error,
-                dropped=len(result.prepared.dropped_demands),
+                final_error=trace.best_error,
+                initial_error=trace.initial_error,
+                dropped=len(prepared.dropped_demands),
             )
         )
+    if not rows:
+        raise EvalError(f"no {'/'.join(day_types)} day has an earlier day of its type with trips")
     return OnlineResult(rows=tuple(rows))
 
 
@@ -407,7 +414,7 @@ def daytype_mix_eval(
     cfg: EvalConfig | None = None,
 ) -> DayTypeMixResult:
     """Compare same-type targets against targets pooled over all prior days,
-    per test day.
+    on every day that can be tested.
 
     Both chains run on the same candidate sets with the same sampler seed, so
     only the targets differ.  When every prior day has the test day's type the
@@ -416,14 +423,13 @@ def daytype_mix_eval(
     cfg = cfg or EvalConfig()
     rows = []
     for d in collection.days:
-        has_same_prior = any(p.day < d.day and p.day_type == d.day_type for p in collection.days)
-        if not has_same_prior:
+        if not _target_days(collection, d):
             continue
         prepared = prepare_day(collection, d.day, cfg)
         sampler_cfg = cfg.sampler_config(seed_offset=d.day)
         matched_error = run(prepared.candidate_sets, prepared.spec, sampler_cfg).best_error
         prior_all = [p for p in collection.days if p.day < d.day]
-        if len(prior_all) == len(prepared.prior_days):
+        if all(p.day_type == d.day_type for p in prior_all):
             pooled_error = matched_error
         else:
             pooled_error = run(prepared.candidate_sets, _target_spec(prior_all), sampler_cfg).best_error
@@ -436,5 +442,5 @@ def daytype_mix_eval(
             )
         )
     if not rows:
-        raise EvalError("no day has a prior day of its own type")
+        raise EvalError("no day has an earlier day of its type with trips")
     return DayTypeMixResult(rows=tuple(rows))

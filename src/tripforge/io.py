@@ -104,13 +104,16 @@ def _field(path, lineno: int, parts: list[str], at: int, conv=float):
     return value
 
 
+_NETWORK_FIELDS = {"transfer_penalty_s": int, "walk_speed_mps": float, "max_walk_m": float}
+
+
 def read_network(path) -> TransitNetwork:
     numbered = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
     stops: list[Stop] = []
     lines: list[Line] = []
-    penalty = 300
-    walk_speed = 1.2
-    max_walk = 800.0
+    fields: dict[str, float] = {}
+    stop_lineno: dict[str, int] = {}  # stop id -> line of its `stop` directive
+    line_stops: list[tuple[int, str]] = []  # (line, stop id) of each stop a line block names
 
     def fail(lineno, msg):
         raise FormatError(path, lineno, msg)
@@ -122,16 +125,19 @@ def read_network(path) -> TransitNetwork:
         if not parts or parts[0].startswith("#"):
             continue
         key = parts[0]
-        if key == "transfer_penalty_s":
-            penalty = _field(path, lineno, parts, 1, int)
-        elif key == "walk_speed_mps":
-            walk_speed = _field(path, lineno, parts, 1)
-        elif key == "max_walk_m":
-            max_walk = _field(path, lineno, parts, 1)
+        if key in _NETWORK_FIELDS:
+            fields[key] = _field(path, lineno, parts, 1, _NETWORK_FIELDS[key])
+            try:  # the network's own range check, on this one value
+                TransitNetwork(stops=(), lines=(), **{key: fields[key]})
+            except ValueError as exc:
+                fail(lineno, str(exc))
         elif key == "stop":
             parts = raw.split(None, 4)  # the name is the rest of the line, spaces and all
             if len(parts) < 4:
                 fail(lineno, "stop needs: stop <id> <lat> <lon> [name]")
+            first = stop_lineno.setdefault(parts[1], lineno)
+            if first != lineno:
+                fail(lineno, f"duplicate stop id {parts[1]!r}, first at line {first}")
             name = parts[4].rstrip() if len(parts) == 5 else None
             try:
                 stops.append(Stop(parts[1], float(parts[2]), float(parts[3]), name))
@@ -155,6 +161,7 @@ def read_network(path) -> TransitNetwork:
                     fail(lineno, f"line {line_id!r}: blank line inside the line block")
                 if p2[0] == "stop":
                     stop_ids.append(_field(path, lineno, p2, 1, str))
+                    line_stops.append((lineno, stop_ids[-1]))
                 elif p2[0] == "seg":
                     rides.append(_field(path, lineno, p2, 1, int))
                     dists.append(_field(path, lineno, p2, 2))
@@ -178,16 +185,10 @@ def read_network(path) -> TransitNetwork:
                 fail(lineno, str(exc))
         else:
             fail(lineno, f"unknown directive {key!r}")
-    try:
-        return TransitNetwork(
-            stops=tuple(stops),
-            lines=tuple(lines),
-            transfer_penalty_s=penalty,
-            walk_speed_mps=walk_speed,
-            max_walk_m=max_walk,
-        )
-    except ValueError as exc:
-        raise FormatError(path, None, str(exc)) from None
+    for lineno, stop_id in line_stops:
+        if stop_id not in stop_lineno:
+            fail(lineno, f"unknown stop {stop_id!r}")
+    return TransitNetwork(stops=tuple(stops), lines=tuple(lines), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def parse_day_file_name(path) -> tuple[int, str] | None:
 def write_collection(collection, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_network(collection.config.network, out / "network.txt")
+    write_network(collection.network, out / "network.txt")
     for d in collection.days:
         stem = day_file_stem(d.day, d.day_type)
         write_trips(

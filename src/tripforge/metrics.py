@@ -102,11 +102,12 @@ class Histogram:
     def __post_init__(self) -> None:
         if len(self.masses) != len(self.edges) - 1:
             raise ValueError("histogram needs len(edges) - 1 masses")
-        if np.any(np.diff(self.edges) <= 0):
+        # Written so that a NaN edge or mass fails each test.
+        if not np.all(np.diff(self.edges) > 0):
             raise ValueError("histogram edges must be strictly increasing")
-        if np.any(self.masses < 0):
+        if not np.all(self.masses >= 0):
             raise ValueError("histogram masses must be non-negative")
-        if self.count > 0 and abs(float(self.masses.sum()) - 1.0) > 1e-9:
+        if self.count > 0 and not abs(float(self.masses.sum()) - 1.0) <= 1e-9:
             raise ValueError(f"histogram masses sum to {self.masses.sum()}, expected 1")
 
     @classmethod

@@ -232,7 +232,9 @@ class DayData:
 
 @dataclass(frozen=True)
 class SynthCollection:
-    config: SynthConfig
+    """Days of trips on one network, synthesized or read from a directory."""
+
+    network: TransitNetwork
     days: tuple[DayData, ...]
 
     def day(self, index: int) -> DayData:
@@ -363,4 +365,4 @@ def generate_collection(cfg: SynthConfig) -> SynthCollection:
         days.append(
             DayData(day=day, day_type=day_type, triples=tuple(triples), routes=tuple(routes))
         )
-    return SynthCollection(config=cfg, days=tuple(days))
+    return SynthCollection(network=cfg.network, days=tuple(days))

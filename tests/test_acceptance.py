@@ -166,7 +166,7 @@ def test_criterion_05_acceptance_rule_suite():
 def test_criterion_06_mismatch_direction(collection_17wd):
     t0 = time.perf_counter()
     day = collection_17wd.days[0]
-    simulated = planner_baseline(day.triples, collection_17wd.config.network)
+    simulated = planner_baseline(day.triples, collection_17wd.network)
     rep = mismatch_report(list(day.routes), simulated)
     full = rep.comparison("full_time")
     transfer = rep.comparison("transfer_time")

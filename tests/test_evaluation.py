@@ -117,7 +117,7 @@ class TestPrepareDay:
                 )
             else:
                 days.append(d)
-        poisoned = SynthCollection(config=small_collection.config, days=tuple(days))
+        poisoned = SynthCollection(network=small_collection.network, days=tuple(days))
         prepared = prepare_day(poisoned, test_day, fast_eval_cfg())
         reference = prepare_day(small_collection, test_day, fast_eval_cfg())
         assert prepared.prior_days == reference.prior_days
@@ -158,7 +158,7 @@ class TestOneDayEval:
         # structural floor rather than to zero.
         d0 = small_collection.days[0]
         twin = SynthCollection(
-            config=small_collection.config,
+            network=small_collection.network,
             days=(d0, DayData(day=1, day_type=d0.day_type, triples=d0.triples, routes=d0.routes)),
         )
         res = one_day_eval(twin, 1, fast_eval_cfg(iterations=40_000))
@@ -198,6 +198,17 @@ class TestOnlineEval:
         for row in result.rows:
             assert row.checkpoint_errors[0][0] == 0
             assert row.final_error <= row.initial_error
+
+    def test_each_type_learns_from_its_own_earlier_days(self, small_net):
+        cfg = SynthConfig(
+            network=small_net, days=4, day_types=(WEEKEND, WORKING, WEEKEND, WORKING),
+            trips_per_day=300, od_pool_size=80, seed=5,
+        )
+        coll = generate_collection(cfg)
+        result = online_eval(coll, (WORKING, WEEKEND), fast_eval_cfg(iterations=2_000))
+        assert [(r.test_day, r.day_type, r.prior_days) for r in result.rows] == [
+            (2, WEEKEND, 1), (3, WORKING, 1)
+        ]
 
     def test_needs_two_days(self, small_collection):
         with pytest.raises(EvalError):

@@ -49,7 +49,7 @@ def tiny_collection():
 
 class TestNetworkFormat:
     def test_round_trip(self, tmp_path, tiny_collection):
-        net = tiny_collection.config.network
+        net = tiny_collection.network
         path = tmp_path / "net.txt"
         tfio.write_network(net, path)
         loaded = tfio.read_network(path)
@@ -73,7 +73,7 @@ class TestCollectionFormat:
     def test_round_trip(self, tmp_path, tiny_collection):
         tfio.write_collection(tiny_collection, tmp_path / "c")
         network, days = tfio.read_collection(tmp_path / "c")
-        assert network == tiny_collection.config.network
+        assert network == tiny_collection.network
         assert len(days) == 2
         for orig, loaded in zip(tiny_collection.days, days):
             assert loaded.day == orig.day and loaded.day_type == orig.day_type
@@ -90,7 +90,7 @@ class TestCollectionFormat:
                 ]
 
     def test_trips_rejects_bad_field_count(self, tmp_path, tiny_collection):
-        stops = {s.stop_id: s for s in tiny_collection.config.network.stops}
+        stops = {s.stop_id: s for s in tiny_collection.network.stops}
         path = tmp_path / "x.trips"
         path.write_text("0,working,d0,L1,s0000,100\n", encoding="utf-8")
         with pytest.raises(tfio.FormatError):
@@ -360,6 +360,11 @@ class TestCmdGenerate:
         ("targets", "weight 1.0", "weight x", 2),
         ("targets", "characteristic full_time", "characteristic", 1),
         ("network", "  seg 109 617.9995920764502\n", "  seg 109 0\n", 13),
+        ("network", "walk_speed_mps 1.2", "walk_speed_mps 0", 3),
+        ("network", "max_walk_m 800.0", "max_walk_m -1.0", 4),
+        ("network", "transfer_penalty_s 300", "transfer_penalty_s -1", 2),
+        ("network", "stop s0001 ", "stop s0000 ", 6),
+        ("network", "\n  stop s0001\n", "\n  stop s9999\n", 12),
     ])
     def test_malformed_network_or_targets_exits_2(
         self, tmp_path, generated_inputs, capsys, name, old, new, lineno
@@ -410,7 +415,7 @@ class TestCmdGenerate:
         prepared = prepare_day(working_days, 1, EvalConfig())
         history = tmp_path / "hist"
         tfio.write_collection(
-            SynthCollection(config=working_days.config, days=working_days.days[:1]), history
+            SynthCollection(network=working_days.network, days=working_days.days[:1]), history
         )
         tfio.write_demand(working_days.days[1].triples, tmp_path / "day1.demand")
         tfio.write_targets(prepared.spec, tmp_path / "targets.txt")
@@ -425,9 +430,9 @@ class TestCmdGenerate:
             "--out-dir", str(out),
         ])
         assert rc == 0
-        stops = {s.stop_id: s for s in working_days.config.network.stops}
+        stops = {s.stop_id: s for s in working_days.network.stops}
         assigned = [rec[2] for rec in tfio.read_trips(out / "assigned.trips", stops)]
-        assert assigned == [t.demand_id for t in prepared.kept_triples]
+        assert assigned == [cs.triple.demand_id for cs in prepared.candidate_sets]
         assert not (out / "dropped.txt").exists() and not prepared.dropped_demands
 
 
@@ -547,6 +552,24 @@ class TestCmdEval:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {trips}:1: ")
+
+    @pytest.mark.parametrize("mode", ["oneday", "online", "daytype"])
+    @pytest.mark.parametrize("emptied", ["day_000_working.*", "day_*"])
+    def test_no_earlier_day_with_trips_exits_3(self, tmp_path, generated_inputs, capsys, mode,
+                                               emptied):
+        # day 1's only earlier day of its type holds no trip, or no day does
+        for path in generated_inputs["root"].glob(emptied):
+            path.write_text("", encoding="utf-8")
+        rc = main([
+            "eval", "--mode", mode,
+            "--history-dir", str(generated_inputs["root"]),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_mode_rejected(self, tmp_path, generated_inputs, capsys):
         rc = main([

@@ -161,6 +161,18 @@ class TestL1Mismatch:
             assert 0.0 <= dab <= 2.0 + 1e-9
 
 
+class TestHistogram:
+    @pytest.mark.parametrize("masses, edges", [
+        ([0.5, 0.5], [0.0, np.nan, 2.0]),
+        ([0.5, 0.5], [np.nan, 1.0, 2.0]),
+        ([np.nan, 1.0], None),
+        ([np.nan, np.nan], None),
+    ], ids=["nan-inner-edge", "nan-first-edge", "nan-mass", "all-nan-masses"])
+    def test_nan_edges_and_masses_rejected(self, masses, edges):
+        with pytest.raises(ValueError):
+            hist(masses, edges)
+
+
 class TestTargets:
     def test_empirical_roundtrip(self):
         routes = [straight_route(ride_s=600), straight_route(ride_s=600)]
