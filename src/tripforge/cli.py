@@ -14,7 +14,7 @@ from pathlib import Path
 from . import evaluation, io
 from .candidates import CandidateError
 from .evaluation import EvalConfig
-from .model import WORKING
+from .model import DAY_TYPES, WORKING
 from .planner import PlannerError
 from .sampler import FrozenChainError, run
 from .synth import SynthCollection, SynthConfig, SynthError, build_grid_network, generate_collection
@@ -163,6 +163,10 @@ def _eval_config(args) -> EvalConfig:
 
 def cmd_eval(args) -> int:
     cfg = _eval_config(args)
+    day_types = tuple(args.day_types.split(","))
+    unknown = sorted(set(day_types) - set(DAY_TYPES))
+    if args.mode == "online" and unknown:
+        raise ConfigError(f"--day-types: unknown labels {unknown}, expected {DAY_TYPES}")
     network, days = io.read_collection(args.history_dir)
     if not days:
         raise ConfigError(f"no day files found in {args.history_dir}")
@@ -195,7 +199,6 @@ def cmd_eval(args) -> int:
         _write_histogram_series(result, out / "distributions.csv")
         print(f"day {args.test_day}: error {result.initial_error:.4f} -> {result.final_error:.4f}")
     elif args.mode == "online":
-        day_types = tuple(args.day_types.split(","))
         result = evaluation.online_eval(collection, day_types, cfg)
         io.write_table([r.as_record() for r in result.rows], out / "online.csv")
         print(f"evaluated {len(result.rows)} days -> {out / 'online.csv'}")

@@ -3,12 +3,21 @@
 Lines run both ways as separate directed lines with headway-based departures
 inside a service window.  One depth-first search per origin enumerates the
 loopless leg skeletons (board/alight pairs on lines, transfers on foot) to
-every destination; a query realizes its destination's skeletons in
-static-cost order on integer times.  Static cost (rides + walks + transfer
-penalties) is a lower bound on realized generalized cost, so realization
-stops as soon as no unseen skeleton can beat the k-th realized route: the
-returned ranking is exact within the leg cap.  Only the k routes returned
-are built as Route objects.
+every destination; a query realizes its destination's skeletons on integer
+times in the order of a wait-aware lower bound on their generalized cost.
+
+The bound is static cost (rides + walks + transfer penalties) plus, at each
+transfer from line A to line B, the least wait the two timetables allow.
+A's departures from its first stop lie on first_dep_s + m*h_A, so it reaches
+its alight stop at a time congruent to A's phase there (first_dep_s plus the
+ride prefix) modulo h_A; B leaves its board stop at times congruent to B's
+phase there modulo h_B.  Every realized wait is therefore congruent to
+phase_B - phase_A - walk modulo gcd(h_A, h_B), and being non-negative it is
+at least that residue.  Service windows only remove departures, so the sum
+stays a lower bound (the A* admissibility argument of Hart, Nilsson and
+Raphael, 1968).  Realization stops as soon as no unseen skeleton can beat the
+k-th realized route: the returned ranking is exact within the leg cap.  Only
+the k routes returned are built as Route objects.
 """
 
 from __future__ import annotations
@@ -108,6 +117,9 @@ class _NetworkIndex:
 
         self.line_stops: list[list[int]] = []
         self.ride_prefix: list[list[int]] = []
+        # phase[li][pos]: first_dep_s plus the ride prefix; every departure
+        # of line li from position pos is this plus a multiple of its headway
+        self.phase: list[list[int]] = []
         self.dist_prefix: list[list[float]] = []
         # leg_ids[li][pos][apos]: the leg's (line id, board id, alight id)
         self.leg_ids: list[list[list[tuple[str, str, str]]]] = []
@@ -123,6 +135,7 @@ class _NetworkIndex:
                 rp.append(rp[-1] + int(r))
                 dp.append(dp[-1] + float(d))
             self.ride_prefix.append(rp)
+            self.phase.append([line.first_dep_s + r for r in rp])
             self.dist_prefix.append(dp)
             ids = line.stop_ids
             self.leg_ids.append([[(line.line_id, a, b) for b in ids] for a in ids])
@@ -145,6 +158,12 @@ class _NetworkIndex:
                     nbrs.append((j, int(math.ceil(d / walk_speed))))
             self.walk.append(nbrs)
 
+        # wait_gcd[a][b]: gcd of the headways of lines a and b.  The extra
+        # last row is all ones, so row -1 (no line ridden yet) bounds no wait.
+        self.wait_gcd = [[math.gcd(a.headway_s, b.headway_s) for b in net.lines]
+                         for a in net.lines]
+        self.wait_gcd.append([1] * len(net.lines))
+
         self.skeletons: dict[tuple[int, int], _SkeletonCache] = {}
 
 
@@ -152,11 +171,14 @@ class _NetworkIndex:
 class _SkeletonCache:
     """The skeletons from one origin with static cost <= ceiling.
 
-    A skeleton is a flat int tuple (static_cost, line, board_pos, alight_pos,
-    walk_s, line, ...), walk_s being the walk to the leg's board stop.
-    by_dest[d] holds those ending at stop d in tuple order, which is
-    (static cost, legs) order.  Bit d of `exhausted` is set when the ceiling
-    cut nothing on the way to d, so by_dest[d] is all of d's skeletons.
+    A skeleton is a flat int tuple (bound, line, board_pos, alight_pos,
+    walk_s, line, ...), walk_s being the walk to the leg's board stop and
+    bound the wait-aware lower bound on its realized generalized cost (see
+    the module docstring).  by_dest[d] holds those ending at stop d in tuple
+    order, which is (bound, legs) order.  The ceiling is on static cost,
+    which is at most the bound: a skeleton it leaves out has a bound above
+    the ceiling too.  Bit d of `exhausted` is set when the ceiling cut nothing
+    on the way to d, so by_dest[d] is all of d's skeletons.
     """
 
     ceiling: int
@@ -176,26 +198,37 @@ def _search_origin(
     a route ends at its destination.  A cut extension would have been
     explored for every destination its path neither boarded nor alighted at,
     bar its board stop, so those lose their exhausted bit.
+
+    Static cost decides the ceiling cut; the bound stored in slot 0 adds
+    each transfer's least wait (see the module docstring).
     """
     penalty = index.transfer_penalty_s
+    phase = index.phase
     by_dest: list[list[tuple[int, ...]]] = [[] for _ in index.stops]
     exhausted = -1  # bit d set: nothing on the way to d was cut
     max_len = 4 * max_legs
-    # (static cost, current stop, skeleton legs so far, boarded mask, alighted mask)
-    stack: list = [(0, origin, (), 0, 0)]
+    # (static cost, bound, current stop, skeleton legs so far, boarded mask, alighted mask)
+    stack: list = [(0, 0, origin, (), 0, 0)]
     while stack:
-        cost, at, legs, boarded, alighted = stack.pop()
+        cost, bound, at, legs, boarded, alighted = stack.pop()
         extend = len(legs) + 4 < max_len
-        prev_line = legs[-4] if legs else -1
-        transfer_s = penalty if legs else 0
-        for nb, walk_s in index.walk[at] if legs else ((origin, 0),):
+        if legs:
+            prev_line, transfer_s, nbrs = legs[-4], penalty, index.walk[at]
+            arrive = phase[prev_line][legs[-2]]
+        else:
+            prev_line, transfer_s, nbrs, arrive = -1, 0, ((origin, 0),), 0
+        gcds = index.wait_gcd[prev_line]
+        for nb, walk_s in nbrs:
             if boarded >> nb & 1:
                 continue
             base = cost + walk_s + transfer_s
+            bound_base = bound + walk_s + transfer_s
+            ready = arrive + walk_s
             now_boarded = boarded | (1 << nb)
             for li, pos, hops in index.boardings[nb]:
                 if li == prev_line:
                     continue
+                wait_base = bound_base + (phase[li][pos] - ready) % gcds[li]
                 for apos, alight, ride_s in hops:
                     if now_boarded >> alight & 1:
                         continue
@@ -204,12 +237,15 @@ def _search_origin(
                         # later alight positions only cost more
                         exhausted &= now_boarded | alighted
                         break
+                    new_bound = wait_base + ride_s
                     new_legs = legs + (li, pos, apos, walk_s)
                     if not alighted >> alight & 1:
-                        by_dest[alight].append((new_cost, *new_legs))
+                        by_dest[alight].append((new_bound, *new_legs))
                     if extend:
                         now_alighted = alighted | (1 << alight)
-                        stack.append((new_cost, alight, new_legs, now_boarded, now_alighted))
+                        stack.append(
+                            (new_cost, new_bound, alight, new_legs, now_boarded, now_alighted)
+                        )
     for skeletons in by_dest:
         skeletons.sort()
     return _SkeletonCache(ceiling=ceiling, by_dest=by_dest, exhausted=exhausted)
@@ -268,6 +304,8 @@ def k_top_routes(
     """
     if k < 1:
         raise PlannerError("k must be at least 1")
+    if max_legs < 1:
+        raise PlannerError("max_legs must be at least 1")
     index = net._index
     try:
         o = index.pos[triple.origin.stop_id]
@@ -290,17 +328,15 @@ def k_top_routes(
             cache = _search_origin(index, o, ceiling, max_legs)
             index.skeletons[cache_key] = cache
 
-        # Realize skeletons in static-cost order, keeping the realized ones
-        # sorted by (cost, legs, identity).  Realized cost >= static cost, so
-        # once the k-th best realized cost drops strictly below the next
-        # static cost no later skeleton can enter the top k (ties are still
-        # scanned so the ordering stays exact).  The cost is the double
-        # generalized_cost gives; the identity is Route.identity as a list.
+        # Realize skeletons in bound order, keeping the realized ones sorted
+        # by (cost, legs, identity).  Realized cost >= bound, so once the
+        # k-th best realized cost drops strictly below the next bound no
+        # later skeleton can enter the top k (ties are still scanned so the
+        # ordering stays exact).  The cost is the double generalized_cost
+        # gives; the identity is Route.identity as a list.
         realized: list[tuple[float, int, list, tuple[int, ...], list[int]]] = []
-        scanned_all = True
         for skeleton in cache.by_dest[d]:
             if len(realized) >= k and realized[k - 1][0] < skeleton[0]:
-                scanned_all = False
                 break
             times = _realize(index, skeleton, triple.depart_time)
             if times is None:
@@ -313,7 +349,8 @@ def k_top_routes(
             ]
             bisect.insort(realized, (cost, n_legs, identity, skeleton, times), key=_RANK)
 
-        done = len(realized) >= k and (not scanned_all or realized[k - 1][0] <= cache.ceiling)
+        # A skeleton the ceiling left out costs more than the ceiling.
+        done = len(realized) >= k and realized[k - 1][0] <= cache.ceiling
         if done or cache.exhausted >> d & 1 or ceiling >= _CEILING_CAP_S:
             return [_route(index, r[3], r[4]) for r in realized[:k]]
         ceiling = min(_CEILING_CAP_S, ceiling * 2)

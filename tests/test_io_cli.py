@@ -571,6 +571,19 @@ class TestCmdEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("day_types", ["holiday", "working, weekend"])
+    def test_unknown_day_type_flag_exits_2(self, tmp_path, generated_inputs, capsys, day_types):
+        rc = main([
+            "eval", "--mode", "online",
+            "--history-dir", str(generated_inputs["root"]),
+            "--day-types", day_types,
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --day-types: unknown labels")
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_mode_rejected(self, tmp_path, generated_inputs, capsys):
         rc = main([
             "eval", "--mode", "bogus",

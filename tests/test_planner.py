@@ -69,6 +69,13 @@ class TestKTopRoutes:
                           round_trip_allowed=True)
         assert k_top_routes(two_line_net, triple, k=3) == []
 
+    @pytest.mark.parametrize("max_legs", [0, -2])
+    def test_leg_cap_below_one_rejected(self, two_line_net, max_legs):
+        triple = ODTriple(origin=two_line_net.stops[0], destination=two_line_net.stops[1],
+                          depart_time=30_000, demand_id="t")
+        with pytest.raises(PlannerError, match="max_legs"):
+            k_top_routes(two_line_net, triple, k=1, max_legs=max_legs)
+
     def test_unknown_stop_rejected(self, two_line_net):
         ghost = grid_stop("ghost", 1.0)
         triple = ODTriple(origin=ghost, destination=two_line_net.stops[1],
@@ -216,6 +223,28 @@ class TestSharedSearch:
                 assert k_top_routes(net, triple, k=5)
         assert searches == [7]
 
+    def test_wait_bound_halves_the_skeletons_realized(self, monkeypatch):
+        # Ordered by static cost, these k=5 queries realize 19.5 skeletons
+        # per call; ordered by the wait-aware bound, 9.9.
+        realized = []
+        realize = planner._realize
+
+        def counting(index, skeleton, depart_time):
+            realized.append(skeleton)
+            return realize(index, skeleton, depart_time)
+
+        monkeypatch.setattr(planner, "_realize", counting)
+        net = build_grid_network(rows=5, cols=6, seed=0)
+        rng = np.random.default_rng(17)
+        n_calls = 400
+        for i in range(n_calls):
+            o, d = rng.choice(len(net.stops), size=2, replace=False)
+            triple = ODTriple(origin=net.stops[o], destination=net.stops[d],
+                              depart_time=int(rng.integers(6 * 3600, 22 * 3600)),
+                              demand_id=f"q{i}")
+            assert len(k_top_routes(net, triple, k=5)) == 5
+        assert len(realized) / n_calls <= 12
+
     def test_od_pool_searches_each_origin_once(self, searches):
         cfg = SynthConfig(network=build_grid_network(rows=5, cols=6, seed=0), days=1,
                           trips_per_day=10, seed=3)
@@ -279,3 +308,32 @@ class TestPlannerProperties:
             got = k_top_routes(net, triple, k=k, max_legs=max_legs)
             assert [r.identity for r in got] == [r.identity for r in expected]
             assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
+
+
+def static_cost(net, skeleton) -> int:
+    """Rides, walks and transfer penalties of a skeleton, from the lines."""
+    cost = net.transfer_penalty_s * ((len(skeleton) - 1) // 4 - 1)
+    for i in range(1, len(skeleton), 4):
+        li, pos, apos, walk_s = skeleton[i : i + 4]
+        cost += sum(net.lines[li].seg_ride_s[pos:apos]) + walk_s
+    return cost
+
+
+class TestWaitBound:
+    @settings(max_examples=300, deadline=None)
+    @given(small_networks(), st.data())
+    def test_bound_lies_between_static_and_realized_cost(self, net, data):
+        origin = data.draw(st.integers(0, len(net.stops) - 1))
+        max_legs = data.draw(st.integers(1, 3))
+        departs = data.draw(st.lists(st.integers(0, 86_399), min_size=1, max_size=6))
+        index = net._index
+        cache = planner._search_origin(index, origin, planner._CEILING_CAP_S, max_legs)
+        for skeletons in cache.by_dest:
+            for skeleton in skeletons:
+                bound = skeleton[0]
+                assert static_cost(net, skeleton) <= bound
+                for depart in departs:
+                    times = planner._realize(index, skeleton, depart)
+                    if times is not None:
+                        cost = times[-1] - times[0] + net.transfer_penalty_s * (len(times) // 2 - 1)
+                        assert bound <= cost
