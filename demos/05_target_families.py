@@ -19,7 +19,7 @@ from tripforge import (
     angle_ratio,
     beta_target,
     build_grid_network,
-    characteristic_value,
+    characteristic_values,
     fit_beta_moments,
     fit_poisson,
     full_trip_time,
@@ -99,7 +99,7 @@ def per_characteristic_l1(state):
     out = {}
     routes = state.assigned_routes()
     for entry in spec.entries:
-        vals = [characteristic_value(entry.tag, r) for r in routes]
+        vals = characteristic_values(entry.tag, routes)
         out[entry.tag] = l1_mismatch(Histogram.from_values(vals, entry.target.edges), entry.target)
     return out
 

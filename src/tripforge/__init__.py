@@ -42,7 +42,7 @@ from .metrics import (
     apply_delta,
     beta_target,
     build_empirical_target,
-    characteristic_value,
+    characteristic_values,
     delta_error,
     fit_beta_moments,
     fit_poisson,
@@ -50,13 +50,11 @@ from .metrics import (
     gaussian_mixture_target,
     l1_mismatch,
     poisson_target,
-    total_error,
     transfer_time,
 )
 from .model import (
     CandidateSet,
     Leg,
-    ModelConfig,
     ODTriple,
     Route,
     Stop,

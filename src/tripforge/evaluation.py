@@ -62,6 +62,8 @@ class EvalConfig:
             raise ValueError(f"lambda_mix must lie in [0, 1], got {self.lambda_mix}")
         if self.slot_width_s <= 0:
             raise ValueError(f"slot_width_s must be positive, got {self.slot_width_s}")
+        if self.planner_k < 1:
+            raise ValueError(f"planner_k must be at least 1, got {self.planner_k}")
         self.sampler_config()  # validates the sampler and schedule fields
 
     def sampler_config(self, seed_offset: int = 0) -> SamplerConfig:

@@ -24,7 +24,7 @@ from .metrics import (
     gaussian_mixture_target,
     poisson_target,
 )
-from .model import DAY_TYPES, Leg, ODTriple, Route, Stop
+from .model import DAY_TYPES, Leg, ODTriple, Route, Stop, validate_route
 from .planner import Line, TransitNetwork
 from .sampler import RunTrace
 from .synth import DayData
@@ -218,8 +218,11 @@ def write_trips(records, path) -> None:
 
 
 def read_trips(path, stops_by_id: dict[str, Stop]):
-    """Yields (day, day_type, demand_id, Route) tuples."""
+    """(day, day_type, demand_id, Route) per row.  Each route must pass
+    `validate_route`, and in a `day_###_<type>` file each row must carry the
+    file name's day and day type."""
     out = []
+    named = parse_day_file_name(path)
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -234,6 +237,9 @@ def read_trips(path, stops_by_id: dict[str, Stop]):
         day_type = parts[1]
         if day_type not in DAY_TYPES:
             raise FormatError(path, lineno, f"unknown day_type {day_type!r}")
+        if named is not None and (day, day_type) != named:
+            raise FormatError(path, lineno, f"day {day},{day_type} differs from the file "
+                                            f"name's {named[0]},{named[1]}")
         demand_id = parts[2]
         legs = []
         for off in range(3, len(parts), 6):
@@ -253,13 +259,10 @@ def read_trips(path, stops_by_id: dict[str, Stop]):
                 raise FormatError(path, lineno, f"unknown stop {exc.args[0]!r}") from None
             except ValueError as exc:
                 raise FormatError(path, lineno, str(exc)) from None
-            if not (math.isfinite(legs[-1].leg_distance) and legs[-1].leg_distance >= 0.0):
-                raise FormatError(path, lineno, f"bad leg distance {dist!r}")
-            if legs[-1].alight_time < legs[-1].board_time:
-                raise FormatError(path, lineno, f"alight_s {at} before board_s {bt}")
         route = Route(legs=tuple(legs))
-        if not route.ride_distance_m() > 0.0:
-            raise FormatError(path, lineno, "total ride distance is 0")
+        problems = validate_route(route)
+        if problems:
+            raise FormatError(path, lineno, problems[0])
         out.append((day, day_type, demand_id, route))
     return out
 
@@ -289,6 +292,8 @@ def read_demand(path, stops_by_id: dict[str, Stop]) -> list[ODTriple]:
         parts = raw.split(",")
         if len(parts) not in (4, 5):
             raise FormatError(path, lineno, f"bad field count {len(parts)}")
+        if parts[4:] not in ([], ["1"]):
+            raise FormatError(path, lineno, f"bad round-trip flag {parts[4]!r}, expected '1'")
         try:
             out.append(
                 ODTriple(
@@ -296,7 +301,7 @@ def read_demand(path, stops_by_id: dict[str, Stop]) -> list[ODTriple]:
                     destination=stops_by_id[parts[2]],
                     depart_time=int(parts[3]),
                     demand_id=parts[0],
-                    round_trip_allowed=len(parts) == 5 and parts[4] == "1",
+                    round_trip_allowed=len(parts) == 5,
                 )
             )
         except KeyError as exc:

@@ -82,10 +82,6 @@ def characteristic_values(tag: str, routes) -> np.ndarray:
     return np.fromiter(map(fn, routes), dtype=float)
 
 
-def characteristic_value(tag: str, route: Route) -> float:
-    return float(characteristic_values(tag, (route,))[0])
-
-
 def _bin_indices(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Bin of each value under `edges`; out-of-range values fold into the end bins."""
     return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
@@ -333,7 +329,8 @@ class ChainState:
 
         self._scales = tuple(e.weight / n for e in spec.entries)
         self._scaled_targets = [(n * e.target.masses).tolist() for e in spec.entries]
-        self.refresh_caches()
+        self.counts = [c.tolist() for c in self._scratch_counts()]
+        self._resync()
 
     # -- cache maintenance ---------------------------------------------------
 
@@ -343,11 +340,6 @@ class ChainState:
             np.bincount(np.asarray(fb)[chosen], minlength=len(st))
             for fb, st in zip(self._flat_bins, self._scaled_targets)
         ]
-
-    def refresh_caches(self) -> None:
-        """Recompute histograms and error from scratch."""
-        self.counts = [c.tolist() for c in self._scratch_counts()]
-        self._resync()
 
     def _resync(self) -> None:
         self._dev_sums = [
@@ -366,24 +358,8 @@ class ChainState:
             total += scale * float(np.abs(np.subtract(fresh, nz)).sum())
         return total
 
-    @property
-    def cached_histograms(self) -> tuple[Histogram, ...]:
-        return tuple(
-            Histogram.from_counts(c, e.target.edges)
-            for c, e in zip(self.counts, self.spec.entries)
-        )
-
     def assigned_routes(self) -> list[Route]:
         return [cs.candidates[self.assignment[j]][0] for j, cs in enumerate(self.candidate_sets)]
-
-
-def total_error(state: ChainState) -> float:
-    """Weighted sum of L1 mismatches between the cached histograms and the
-    state's targets."""
-    hists = state.cached_histograms
-    return float(
-        sum(e.weight * l1_mismatch(h, e.target) for h, e in zip(hists, state.spec.entries))
-    )
 
 
 def _current_candidate(state: ChainState, j: int, cand: int) -> int:

@@ -124,25 +124,24 @@ class ODTriple:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class ModelConfig:
-    """Validation thresholds for routes."""
-
-    max_walk_m: float = 800.0
-    distance_slack_m: float = 1.0
+# How far a leg's distance may fall short of its great-circle distance.
+DISTANCE_SLACK_M = 1.0
 
 
-def validate_route(route: Route, config: ModelConfig = ModelConfig()) -> list[str]:
-    """Check all route invariants; returns human-readable violations (empty if valid)."""
+def validate_route(route: Route) -> list[str]:
+    """The rules every route satisfies, observed or planned; returns
+    human-readable violations (empty if valid).  The planner's walk limit is
+    not among them: an observed traveller may walk further between rides."""
     problems: list[str] = []
     for i, leg in enumerate(route.legs):
         if leg.alight_time < leg.board_time:
             problems.append(f"leg {i}: alight_time {leg.alight_time} before board_time {leg.board_time}")
-        if leg.leg_distance < 0.0:
-            problems.append(f"leg {i}: negative leg_distance {leg.leg_distance}")
+        # Written so that a NaN distance fails the test.
+        if not (math.isfinite(leg.leg_distance) and leg.leg_distance >= 0.0):
+            problems.append(f"leg {i}: leg_distance {leg.leg_distance} is not a finite number >= 0")
         else:
             crow = great_circle_m(leg.board_stop, leg.alight_stop)
-            if leg.leg_distance < crow - config.distance_slack_m:
+            if leg.leg_distance < crow - DISTANCE_SLACK_M:
                 problems.append(
                     f"leg {i}: leg_distance {leg.leg_distance:.1f} m shorter than "
                     f"great-circle {crow:.1f} m"
@@ -153,11 +152,9 @@ def validate_route(route: Route, config: ModelConfig = ModelConfig()) -> list[st
             problems.append(
                 f"legs {i}->{i + 1}: boards at {nxt.board_time} before previous alighting {prev.alight_time}"
             )
-        walk = great_circle_m(prev.alight_stop, nxt.board_stop)
-        if walk > config.max_walk_m:
-            problems.append(
-                f"legs {i}->{i + 1}: transfer walk {walk:.0f} m exceeds limit {config.max_walk_m:.0f} m"
-            )
+    total = route.ride_distance_m()
+    if not total > 0.0:
+        problems.append(f"total ride distance {total} is not positive")
     return problems
 
 

@@ -13,11 +13,45 @@ from tripforge import (
     Histogram,
     Leg,
     Route,
-    characteristic_value,
+    characteristic_values,
     full_trip_time,
     great_circle_m,
     l1_mismatch,
 )
+
+
+def characteristic_value(tag: str, route: Route) -> float:
+    """The tagged characteristic of one route."""
+    return float(characteristic_values(tag, (route,))[0])
+
+
+def transfer_walk_problems(route: Route, max_walk_m: float) -> list[str]:
+    """Transfers that walk further than the planner's limit `max_walk_m`.
+    A planned route has none; an observed one may."""
+    problems = []
+    for i in range(len(route.legs) - 1):
+        walk = great_circle_m(route.legs[i].alight_stop, route.legs[i + 1].board_stop)
+        if walk > max_walk_m:
+            problems.append(
+                f"legs {i}->{i + 1}: transfer walk {walk:.0f} m exceeds limit {max_walk_m:.0f} m"
+            )
+    return problems
+
+
+def cached_histograms(state) -> tuple[Histogram, ...]:
+    """The histograms of a ChainState's cached bin counts."""
+    return tuple(
+        Histogram.from_counts(c, e.target.edges) for c, e in zip(state.counts, state.spec.entries)
+    )
+
+
+def total_error(state) -> float:
+    """Weighted sum of L1 mismatches between a ChainState's cached histograms
+    and its targets."""
+    return float(sum(
+        e.weight * l1_mismatch(h, e.target)
+        for h, e in zip(cached_histograms(state), state.spec.entries)
+    ))
 
 
 def oracle_next_departure(line, pos: int, t: int):

@@ -5,6 +5,7 @@ from tripforge import (
     CandidateError,
     ODTriple,
     Route,
+    TransitNetwork,
     TripHistory,
     build_candidate_set,
     history_lookup,
@@ -12,6 +13,7 @@ from tripforge import (
 )
 
 from conftest import make_leg, make_stop
+from oracles import transfer_walk_problems
 
 
 def route_between(a, b, depart, ride=900, line="L1", dist=None):
@@ -156,3 +158,4 @@ class TestBuildCandidateSet:
         assert len(cs) <= len(planner) + len(history)
         assert sum(cs.weights) == pytest.approx(1.0, abs=1e-9)
         assert all(validate_route(r) == [] for r in cs.routes)
+        assert all(transfer_walk_problems(r, TransitNetwork.max_walk_m) == [] for r in cs.routes)

@@ -537,6 +537,10 @@ class TestCmdEval:
         lambda row: row[:8] + ["-1.0"] + row[9:],  # a negative leg distance
         lambda row: row[:7] + [str(int(row[5]) - 1)] + row[8:],  # alights before boarding
         lambda row: [f if (i - 8) % 6 or i < 8 else "0" for i, f in enumerate(row)],  # rides 0 m
+        # a second leg that boards 4 509 s before the first alights and rides it back
+        lambda row: row + ["X", row[6], str(int(row[7]) - 4509), row[4], row[7], row[8]],
+        lambda row: row[:8] + ["1.0"] + row[9:],  # shorter than the great-circle distance
+        lambda row: ["7", "weekend"] + row[2:],  # not the day its file name says
     ])
     def test_bad_trip_record_exits_2(self, tmp_path, generated_inputs, capsys, edit):
         trips = generated_inputs["root"] / "day_000_working.trips"
@@ -552,6 +556,37 @@ class TestCmdEval:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {trips}:1: ")
+
+    @pytest.mark.parametrize("flag", [",yes", ",0", ","])
+    def test_bad_round_trip_flag_exits_2(self, tmp_path, generated_inputs, capsys, flag):
+        # on a one-way demand, so that only the flag is wrong
+        demand = generated_inputs["root"] / "day_001_working.demand"
+        rows = demand.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, row in enumerate(rows) if row.count(",") == 3)
+        rows[at] += flag
+        demand.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(generated_inputs["root"]),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {demand}:{at + 1}: ")
+
+    def test_planner_k_below_one_names_the_field(self, tmp_path, generated_inputs, capsys):
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(generated_inputs["root"]),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--planner-k", "0",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: planner_k must be at least 1")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("mode", ["oneday", "online", "daytype"])
     @pytest.mark.parametrize("emptied", ["day_000_working.*", "day_*"])

@@ -24,6 +24,7 @@ from tripforge import (
     build_grid_network,
     gaussian_mixture_target,
     generate_collection,
+    great_circle_m,
     poisson_target,
 )
 from tripforge import io as tfio
@@ -79,14 +80,20 @@ def networks(draw):
 
 @st.composite
 def trip_records(draw, stops):
+    """Records of routes the reader accepts: legs in time order, each at
+    least as long as its great-circle distance and the first longer, so that
+    the total ride distance is positive."""
     records = []
     for demand_id in draw(st.lists(IDS, min_size=1, max_size=4)):
         legs = []
+        board = draw(TIMES)
         for _ in range(draw(st.integers(1, 3))):
-            board = draw(TIMES)
-            legs.append(Leg(draw(st.sampled_from(stops)), draw(st.sampled_from(stops)), board,
-                            board + draw(st.integers(0, 10**4)), draw(IDS),
-                            draw(st.floats(0.0, 1e6) if legs else POSITIVE)))
+            board_stop, alight_stop = draw(st.sampled_from(stops)), draw(st.sampled_from(stops))
+            alight = board + draw(st.integers(0, 10**4))
+            legs.append(Leg(board_stop, alight_stop, board, alight, draw(IDS),
+                            great_circle_m(board_stop, alight_stop)
+                            + draw(st.floats(0.0, 1e6) if legs else POSITIVE)))
+            board = alight + draw(st.integers(0, 10**4))
         records.append((draw(st.integers(0, 999)), draw(st.sampled_from(DAY_TYPES)), demand_id,
                         Route(legs=tuple(legs))))
     return records

@@ -24,7 +24,6 @@ from tripforge import (
     apply_delta,
     beta_target,
     build_empirical_target,
-    characteristic_value,
     delta_error,
     fit_beta_moments,
     fit_poisson,
@@ -32,13 +31,13 @@ from tripforge import (
     gaussian_mixture_target,
     l1_mismatch,
     poisson_target,
-    total_error,
     transfer_time,
 )
 from tripforge import metrics
 from tripforge.metrics import _bin_indices, characteristic_values
 
 from conftest import make_leg, make_stop, random_route, straight_route
+from oracles import cached_histograms, characteristic_value, total_error
 
 
 def hist(masses, edges=None):
@@ -356,7 +355,7 @@ class TestChainState:
         rng = np.random.default_rng(29)
         sets = make_candidate_sets(rng)
         state = ChainState(sets, default_spec(rng), np.zeros(len(sets), dtype=int))
-        for h in state.cached_histograms:
+        for h in cached_histograms(state):
             assert h.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_delta_noop_swap(self):
@@ -400,7 +399,7 @@ class TestChainState:
                 apply_delta(state, j, cand)
                 assert state.cached_error == pytest.approx(fresh, abs=1e-9)
         assert state.cached_error == pytest.approx(state.scratch_error(), abs=1e-9)
-        for h, counts in zip(state.cached_histograms, state._scratch_counts()):
+        for h, counts in zip(cached_histograms(state), state._scratch_counts()):
             np.testing.assert_allclose(h.masses, counts / state.n, atol=1e-9)
 
     def test_round_trip_swap_moves_unit_mass(self):
@@ -427,9 +426,9 @@ class TestChainState:
         ]
         spec = default_spec()
         state = ChainState(sets, spec, np.zeros(len(sets), dtype=int))
-        before = state.cached_histograms[2].masses.copy()
+        before = cached_histograms(state)[2].masses.copy()
         apply_delta(state, 0, 1)
-        after = state.cached_histograms[2].masses
+        after = cached_histograms(state)[2].masses
         n = float(len(sets))
         assert before[0] - after[0] == pytest.approx(1.0 / n, abs=1e-12)
         assert after[-1] - before[-1] == pytest.approx(1.0 / n, abs=1e-12)
@@ -581,7 +580,7 @@ class TestChainStateProperties:
             if accept:
                 apply_delta(state, j, cand)
         routes = state.assigned_routes()
-        for h, e in zip(state.cached_histograms, spec.entries):
+        for h, e in zip(cached_histograms(state), spec.entries):
             ref = Histogram.from_values(
                 [characteristic_value(e.tag, r) for r in routes], e.target.edges
             )

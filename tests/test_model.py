@@ -3,7 +3,6 @@ import pytest
 
 from tripforge import (
     Leg,
-    ModelConfig,
     ODTriple,
     Route,
     Stop,
@@ -12,6 +11,7 @@ from tripforge import (
 )
 
 from conftest import make_leg, make_stop
+from oracles import transfer_walk_problems
 
 
 class TestStop:
@@ -65,7 +65,7 @@ class TestValidateRoute:
         c = make_stop("c", 3000.0)  # 2 km from b
         d = make_stop("d", 4000.0)
         route = Route(legs=(make_leg(a, b, 0, 600), make_leg(c, d, 1200, 1800)))
-        problems = validate_route(route, ModelConfig(max_walk_m=800.0))
+        problems = transfer_walk_problems(route, max_walk_m=800.0)
         assert len(problems) == 1
         assert "walk" in problems[0]
 
@@ -85,6 +85,17 @@ class TestValidateRoute:
         a, b, c = make_stop("a", 0.0), make_stop("b", 1000.0), make_stop("c", 2000.0)
         route = Route(legs=(make_leg(a, b, 0, 600), make_leg(b, c, 500, 1100)))
         assert any("before previous alighting" in p for p in validate_route(route))
+
+    @pytest.mark.parametrize("dist", [float("nan"), float("inf"), -1.0])
+    def test_distance_not_a_finite_number_at_least_zero(self, dist):
+        a, b = make_stop("a", 0.0), make_stop("b", 1000.0)
+        route = Route(legs=(make_leg(a, b, 0, 600), make_leg(b, a, 600, 1200, dist=dist)))
+        assert validate_route(route)[0] == f"leg 1: leg_distance {dist} is not a finite number >= 0"
+
+    def test_zero_total_ride_distance(self):
+        a = make_stop("a", 0.0)
+        route = Route(legs=(make_leg(a, a, 0, 600, dist=0.0),))
+        assert validate_route(route) == ["total ride distance 0.0 is not positive"]
 
 
 class TestRoute:

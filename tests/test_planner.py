@@ -22,7 +22,7 @@ from tripforge import (
 from tripforge import planner
 
 from conftest import DEG_PER_M
-from oracles import oracle_enumerate_routes
+from oracles import oracle_enumerate_routes, transfer_walk_problems
 
 
 def grid_stop(sid, x_m, y_m=0.0):
@@ -98,6 +98,7 @@ class TestKTopRoutes:
                           depart_time=30_000, demand_id="t")
         for r in k_top_routes(two_line_net, triple, k=5):
             assert validate_route(r) == []
+            assert transfer_walk_problems(r, two_line_net.max_walk_m) == []
             boards = [leg.board_stop.stop_id for leg in r.legs]
             assert len(set(boards)) == len(boards)
             assert r.legs[0].board_time >= triple.depart_time

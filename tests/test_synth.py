@@ -16,6 +16,8 @@ from tripforge import (
 )
 from tripforge.synth import WEEKEND, WORKING
 
+from oracles import transfer_walk_problems
+
 
 @pytest.fixture(scope="module")
 def small_net():
@@ -84,6 +86,7 @@ class TestGenerateDay:
         cfg = small_cfg(small_net)
         _, routes, _ = generate_day(cfg, 0)
         assert all(validate_route(r) == [] for r in routes)
+        assert all(transfer_walk_problems(r, small_net.max_walk_m) == [] for r in routes)
 
     def test_round_trip_rate_within_three_sigma(self, small_net):
         cfg = small_cfg(small_net, trips_per_day=10_000, od_pool_size=100)
