@@ -45,14 +45,29 @@ def _fmt(x: float) -> str:
 # Whitespace separates the fields of the network and targets files, commas
 # those of the trips and demand files.
 _NOT_IN_IDS = re.compile(r"[\s,]")
+_ID_RULE = "ids are non-empty, without whitespace or commas"
 
 
 def _id(value: str) -> str:
     """value, when a file can carry it as one field; ValueError otherwise."""
     if not value or _NOT_IN_IDS.search(value):
-        raise ValueError(f"id {value!r} cannot be written: ids are non-empty, "
-                         "without whitespace or commas")
+        raise ValueError(f"id {value!r} cannot be written: {_ID_RULE}")
     return value
+
+
+def _read_id(path, lineno: int, what: str, value: str) -> str:
+    """value, when the writers accept it as an id; FormatError otherwise."""
+    try:
+        return _id(value)
+    except ValueError:
+        raise FormatError(path, lineno, f"bad {what} {value!r}: {_ID_RULE}") from None
+
+
+def _once(seen: dict[str, int], path, lineno: int, what: str, key: str) -> None:
+    """Record key's line in seen; FormatError when an earlier line named it."""
+    first = seen.setdefault(key, lineno)
+    if first != lineno:
+        raise FormatError(path, lineno, f"duplicate {what} {key!r}, first at line {first}")
 
 
 def _stop_name(name: str | None) -> str:
@@ -135,9 +150,7 @@ def read_network(path) -> TransitNetwork:
             parts = raw.split(None, 4)  # the name is the rest of the line, spaces and all
             if len(parts) < 4:
                 fail(lineno, "stop needs: stop <id> <lat> <lon> [name]")
-            first = stop_lineno.setdefault(parts[1], lineno)
-            if first != lineno:
-                fail(lineno, f"duplicate stop id {parts[1]!r}, first at line {first}")
+            _once(stop_lineno, path, lineno, "stop id", parts[1])
             name = parts[4].rstrip() if len(parts) == 5 else None
             try:
                 stops.append(Stop(parts[1], float(parts[2]), float(parts[3]), name))
@@ -218,10 +231,11 @@ def write_trips(records, path) -> None:
 
 
 def read_trips(path, stops_by_id: dict[str, Stop]):
-    """(day, day_type, demand_id, Route) per row.  Each route must pass
-    `validate_route`, and in a `day_###_<type>` file each row must carry the
-    file name's day and day type."""
+    """(day, day_type, demand_id, Route) per row, one row per demand id.
+    Each route must pass `validate_route`, and in a `day_###_<type>` file
+    each row must carry the file name's day and day type."""
     out = []
+    demand_lineno: dict[str, int] = {}
     named = parse_day_file_name(path)
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,10 +254,12 @@ def read_trips(path, stops_by_id: dict[str, Stop]):
         if named is not None and (day, day_type) != named:
             raise FormatError(path, lineno, f"day {day},{day_type} differs from the file "
                                             f"name's {named[0]},{named[1]}")
-        demand_id = parts[2]
+        demand_id = _read_id(path, lineno, "demand id", parts[2])
+        _once(demand_lineno, path, lineno, "demand id", demand_id)
         legs = []
         for off in range(3, len(parts), 6):
             line_id, board, bt, alight, at, dist = parts[off : off + 6]
+            _read_id(path, lineno, "line id", line_id)
             try:
                 legs.append(
                     Leg(
@@ -284,7 +300,9 @@ def write_demand(triples, path) -> None:
 
 
 def read_demand(path, stops_by_id: dict[str, Stop]) -> list[ODTriple]:
+    """One triple per row, one row per demand id."""
     out = []
+    demand_lineno: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -294,13 +312,15 @@ def read_demand(path, stops_by_id: dict[str, Stop]) -> list[ODTriple]:
             raise FormatError(path, lineno, f"bad field count {len(parts)}")
         if parts[4:] not in ([], ["1"]):
             raise FormatError(path, lineno, f"bad round-trip flag {parts[4]!r}, expected '1'")
+        demand_id = _read_id(path, lineno, "demand id", parts[0])
+        _once(demand_lineno, path, lineno, "demand id", demand_id)
         try:
             out.append(
                 ODTriple(
                     origin=stops_by_id[parts[1]],
                     destination=stops_by_id[parts[2]],
                     depart_time=int(parts[3]),
-                    demand_id=parts[0],
+                    demand_id=demand_id,
                     round_trip_allowed=len(parts) == 5,
                 )
             )

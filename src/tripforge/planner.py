@@ -238,14 +238,15 @@ def _search_origin(
                         exhausted &= now_boarded | alighted
                         break
                     new_bound = wait_base + ride_s
+                    if not extend:  # the last leg level: no path is kept
+                        if not alighted >> alight & 1:
+                            by_dest[alight].append((new_bound, *legs, li, pos, apos, walk_s))
+                        continue
                     new_legs = legs + (li, pos, apos, walk_s)
                     if not alighted >> alight & 1:
                         by_dest[alight].append((new_bound, *new_legs))
-                    if extend:
-                        now_alighted = alighted | (1 << alight)
-                        stack.append(
-                            (new_cost, new_bound, alight, new_legs, now_boarded, now_alighted)
-                        )
+                    now_alighted = alighted | (1 << alight)
+                    stack.append((new_cost, new_bound, alight, new_legs, now_boarded, now_alighted))
     for skeletons in by_dest:
         skeletons.sort()
     return _SkeletonCache(ceiling=ceiling, by_dest=by_dest, exhausted=exhausted)

@@ -325,7 +325,7 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
             o, d = pool[int(rng.integers(0, len(pool)))]
             t = profile.draw(rng)
             probe = ODTriple(origin=o, destination=d, depart_time=t, demand_id="probe")
-            planner_routes = k_top_routes(cfg.network, probe, k=cfg.planner_k)
+            planner_routes = k_top_routes(cfg.network, probe, k=1)
             if planner_routes:
                 break
         if not planner_routes:
@@ -348,7 +348,11 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
             continue
 
         triples.append(ODTriple(origin=o, destination=d, depart_time=t, demand_id=demand_id))
-        if u < p_round + cfg.p_detour and len(planner_routes) >= 2:
+        if u < p_round + cfg.p_detour:
+            # Only a detour looks past the top route.  The ranking is exact
+            # for every k, so the first route stays the one drawn above.
+            planner_routes = k_top_routes(cfg.network, probe, k=cfg.planner_k)
+        if len(planner_routes) >= 2:
             ranks = len(planner_routes) - 1
             w = np.array([cfg.detour_rank_decay**r for r in range(ranks)])
             pick = 1 + int(rng.choice(ranks, p=w / w.sum()))

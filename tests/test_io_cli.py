@@ -354,6 +354,27 @@ class TestCmdGenerate:
         assert err.rstrip("\n").endswith(f": {collection_message}")
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize("demand_id", ["", "d 1"], ids=["empty", "space"])
+    def test_bad_demand_id_exits_2(self, tmp_path, generated_inputs, capsys, demand_id):
+        # write_trips refuses the id, so it must fail where it is read
+        demand = generated_inputs["demand"]
+        rows = demand.read_text(encoding="utf-8").splitlines()
+        rows[0] = demand_id + "," + rows[0].split(",", 1)[1]
+        demand.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = main([
+            "generate",
+            "--network", str(generated_inputs["network"]),
+            "--demand", str(demand),
+            "--targets", str(generated_inputs["targets"]),
+            "--history-dir", str(generated_inputs["root"]),
+            "--iterations", "0",
+            "--out-dir", str(tmp_path / "gen"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {demand}:1: bad demand id {demand_id!r}: ")
+        assert not (tmp_path / "gen").exists()
+
     @pytest.mark.parametrize("name, old, new, lineno", [
         ("network", "\n  seg ", "\n\n  seg ", 11),
         ("network", "transfer_penalty_s 300", "transfer_penalty_s abc", 2),
@@ -541,6 +562,9 @@ class TestCmdEval:
         lambda row: row + ["X", row[6], str(int(row[7]) - 4509), row[4], row[7], row[8]],
         lambda row: row[:8] + ["1.0"] + row[9:],  # shorter than the great-circle distance
         lambda row: ["7", "weekend"] + row[2:],  # not the day its file name says
+        lambda row: row[:2] + [""] + row[3:],  # an empty demand id
+        lambda row: row[:3] + [""] + row[4:],  # an empty line id
+        lambda row: row[:3] + ["L\t1"] + row[4:],  # a line id holding a tab
     ])
     def test_bad_trip_record_exits_2(self, tmp_path, generated_inputs, capsys, edit):
         trips = generated_inputs["root"] / "day_000_working.trips"
@@ -574,6 +598,27 @@ class TestCmdEval:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {demand}:{at + 1}: ")
+
+    @pytest.mark.parametrize("suffix", [".demand", ".trips"])
+    def test_duplicate_id_exits_2_on_its_second_line(self, tmp_path, generated_inputs, capsys,
+                                                      suffix):
+        path = generated_inputs["root"] / f"day_000_working{suffix}"
+        rows = path.read_text(encoding="utf-8").splitlines()
+        if suffix == ".demand":  # d000t00001 twice, d000t00002 never
+            assert rows[2].startswith("d000t00002,")
+            rows[2] = rows[2].replace("d000t00002", "d000t00001")
+        else:  # the first row repeated as the third
+            rows.insert(2, rows[0])
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(generated_inputs["root"]),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: duplicate demand id ")
 
     def test_planner_k_below_one_names_the_field(self, tmp_path, generated_inputs, capsys):
         rc = main([

@@ -80,11 +80,11 @@ def networks(draw):
 
 @st.composite
 def trip_records(draw, stops):
-    """Records of routes the reader accepts: legs in time order, each at
-    least as long as its great-circle distance and the first longer, so that
-    the total ride distance is positive."""
+    """Records of routes the reader accepts: one per demand id, legs in time
+    order, each at least as long as its great-circle distance and the first
+    longer, so that the total ride distance is positive."""
     records = []
-    for demand_id in draw(st.lists(IDS, min_size=1, max_size=4)):
+    for demand_id in draw(st.lists(IDS, min_size=1, max_size=4, unique=True)):
         legs = []
         board = draw(TIMES)
         for _ in range(draw(st.integers(1, 3))):
@@ -102,7 +102,7 @@ def trip_records(draw, stops):
 @st.composite
 def demands(draw, stops):
     triples = []
-    for demand_id in draw(st.lists(IDS, min_size=1, max_size=4)):
+    for demand_id in draw(st.lists(IDS, min_size=1, max_size=4, unique=True)):
         origin, destination = draw(st.sampled_from(stops)), draw(st.sampled_from(stops))
         triples.append(ODTriple(origin, destination, draw(st.integers(0, 86_399)), demand_id,
                                 origin == destination or draw(st.booleans())))

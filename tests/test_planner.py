@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 from dataclasses import replace
 
@@ -245,6 +246,20 @@ class TestSharedSearch:
                               demand_id=f"q{i}")
             assert len(k_top_routes(net, triple, k=5)) == 5
         assert len(realized) / n_calls <= 12
+
+    # 3300 s, the first ceiling of a query on this network, cuts nothing
+    # (212 064 skeletons, 204 322 of them with 3 legs); 1800 s cuts some.
+    @pytest.mark.parametrize("ceiling, digest", [
+        (3300, "69909a43e2765f9160fdd85b3f6a55a1f504c2a414ed8a3c40faa5781b814692"),
+        (1800, "a8e0001542155f64d18034896febbe295dd426cc7de08a0401d0182da92e0902"),
+    ], ids=["ceiling=3300", "ceiling=1800"])
+    def test_pinned_skeletons_of_every_origin(self, ceiling, digest):
+        net = build_grid_network(rows=5, cols=6, seed=0)
+        h = hashlib.sha256()
+        for origin in range(len(net.stops)):
+            cache = planner._search_origin(net._index, origin, ceiling, planner.DEFAULT_MAX_LEGS)
+            h.update(repr((cache.by_dest, cache.exhausted)).encode())
+        assert h.hexdigest() == digest
 
     def test_od_pool_searches_each_origin_once(self, searches):
         cfg = SynthConfig(network=build_grid_network(rows=5, cols=6, seed=0), days=1,

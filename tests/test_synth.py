@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -9,11 +10,13 @@ from tripforge import (
     angle_ratio,
     build_grid_network,
     full_trip_time,
+    generate_collection,
     generate_day,
     k_top_routes,
     transfer_time,
     validate_route,
 )
+from tripforge import synth
 from tripforge.synth import WEEKEND, WORKING
 
 from oracles import transfer_walk_problems
@@ -56,7 +59,84 @@ class TestConfig:
         assert ref() is None
 
 
+class RecordingGenerator(np.random.Generator):
+    """A Generator that logs each value its random() returns."""
+
+    def __init__(self, bit_generator, events):
+        super().__init__(bit_generator)
+        self.events = events
+
+    def random(self, *args, **kwargs):
+        value = super().random(*args, **kwargs)
+        self.events.append(("u", value))
+        return value
+
+
 class TestGenerateDay:
+    # sha256 of every trip of a working and a weekend day: demand, legs and
+    # times, taken when every trip asked the planner for planner_k routes.
+    # Asking for the top route alone must not change a byte.
+    @pytest.mark.parametrize("planner_k, digest", [
+        (5, "04e5b45d0619a648e876bf0896b255116d64bc1fe64fb82d5e03f1ca0f0804b9"),
+        (1, "92229dde44cee71879d430420eb12bb3a27808820d3c9c06a32c37561fba4d3a"),
+    ], ids=["planner_k=5", "planner_k=1"])
+    def test_pinned_collection(self, small_net, planner_k, digest):
+        cfg = small_cfg(small_net, day_types=(WORKING, WEEKEND), planner_k=planner_k)
+        h = hashlib.sha256()
+        for d in generate_collection(cfg).days:
+            for t, r in zip(d.triples, d.routes):
+                row = [d.day, d.day_type, t.demand_id, t.origin.stop_id, t.destination.stop_id,
+                       t.depart_time, t.round_trip_allowed]
+                for leg in r.legs:
+                    row += [leg.line_id, leg.board_stop.stop_id, leg.board_time,
+                            leg.alight_stop.stop_id, leg.alight_time, repr(leg.leg_distance)]
+                h.update((",".join(map(str, row)) + "\n").encode())
+        assert h.hexdigest() == digest
+
+    @pytest.fixture
+    def planner_log(self, monkeypatch):
+        """(k, routes found) per planner call and ("u", value) per
+        rng.random() draw of generate_day, in call order."""
+        events = []
+        plan = synth.k_top_routes
+
+        def logged_plan(net, triple, k=5):
+            routes = plan(net, triple, k=k)
+            events.append((k, len(routes)))
+            return routes
+
+        monkeypatch.setattr(synth, "k_top_routes", logged_plan)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: RecordingGenerator(np.random.PCG64(seed), events))
+        return events
+
+    def test_no_detour_asks_only_for_the_top_route(self, small_net, planner_log):
+        cfg = small_cfg(small_net, p_detour=0.0)
+        generate_day(cfg, 0)
+        calls = [k for k, _ in planner_log if k != "u"]
+        assert calls and set(calls) == {1}
+
+    def test_only_a_detour_asks_for_planner_k_routes(self, small_net, planner_log):
+        cfg = small_cfg(small_net)
+        assert cfg._od_pool  # its probes are not trips
+        planner_log.clear()
+        generate_day(cfg, 0)
+        # The first draw after a trip finds its top route is the u that picks
+        # round trip, detour or top route; a detour asks the planner next.
+        detours, wide, after_top = [], [], False
+        for at, (kind, value) in enumerate(planner_log):
+            if kind == "u":
+                if after_top and cfg.p_round <= value < cfg.p_round + cfg.p_detour:
+                    detours.append(at + 1)
+                after_top = False
+            elif kind == 1:
+                after_top = value > 0
+            else:
+                assert kind == cfg.planner_k
+                wide.append(at)
+        assert len(detours) > 100
+        assert wide == detours
+
     def test_deterministic_per_seed_and_day(self, small_net):
         cfg = small_cfg(small_net)
         t1, r1, d1 = generate_day(cfg, 0)
