@@ -69,7 +69,6 @@ from .planner import (
     k_top_routes,
 )
 from .sampler import (
-    AnnealingSchedule,
     Checkpoint,
     FrozenChainError,
     RunTrace,

@@ -124,7 +124,7 @@ def cmd_generate(args) -> int:
     history_days = io.read_collection(args.history_dir, network)[1] if args.history_dir else []
     candidate_sets, dropped = evaluation.build_candidates(network, history_days, triples, cfg)
 
-    trace = run(candidate_sets, spec, cfg.sampler_config())
+    trace = run(candidate_sets, spec, cfg)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -144,19 +144,11 @@ def cmd_generate(args) -> int:
 
 
 def _eval_config(args) -> EvalConfig:
+    """The EvalConfig of the sampler flags: each flag's dest is its field's name."""
+    flags = vars(args)
     try:
-        return EvalConfig(
-            iterations=args.iterations,
-            checkpoint_every=args.checkpoint_every,
-            seed=args.seed,
-            l0=args.l0,
-            decay=args.decay,
-            l_min=args.l_min,
-            epsilon=args.epsilon,
-            planner_k=args.planner_k,
-            lambda_mix=args.lambda_mix,
-            slot_width_s=args.slot_width,
-        )
+        return EvalConfig(**{f.name: flags[f.name] for f in dataclasses.fields(EvalConfig)
+                             if f.name in flags})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -250,7 +242,8 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=d.epsilon, help="objective stabilizer near zero")
     p.add_argument("--planner-k", type=int, default=d.planner_k, help="planner recommendations per demand")
     p.add_argument("--lambda-mix", type=float, default=d.lambda_mix, help="planner share of candidate mass")
-    p.add_argument("--slot-width", type=int, default=d.slot_width_s, help="history match window, seconds")
+    p.add_argument("--slot-width", dest="slot_width_s", metavar="SLOT_WIDTH", type=int,
+                   default=d.slot_width_s, help="history match window, seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:

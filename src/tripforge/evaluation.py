@@ -9,7 +9,7 @@ A day can be tested when an earlier day of its own type holds a trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .model import WORKING, CandidateSet, Route
 from .planner import TransitNetwork, k_top_routes
-from .sampler import AnnealingSchedule, RunTrace, SamplerConfig, run
+from .sampler import RunTrace, SamplerConfig, run
 from .synth import DayData, SynthCollection
 
 
@@ -37,21 +37,10 @@ class EvalError(ValueError):
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    """Settings for the evaluation pipelines.
+class EvalConfig(SamplerConfig):
+    """Settings for the evaluation pipelines: the chain's, plus how candidate
+    sets are built and where the joint grid marks short activities."""
 
-    The annealing defaults cool hard within a few sweeps: per-move error
-    changes scale like 1/n, so on large demands the schedule must reach very
-    low temperatures quickly for the chain to settle.
-    """
-
-    iterations: int = 100_000
-    checkpoint_every: int = 25_000
-    seed: int = 7
-    l0: float = 1.0
-    decay: float = 0.05
-    l_min: float = 1e-6
-    epsilon: float = 1e-9
     planner_k: int = 5
     lambda_mix: float = 0.5
     slot_width_s: int = 1200
@@ -64,16 +53,10 @@ class EvalConfig:
             raise ValueError(f"slot_width_s must be positive, got {self.slot_width_s}")
         if self.planner_k < 1:
             raise ValueError(f"planner_k must be at least 1, got {self.planner_k}")
-        self.sampler_config()  # validates the sampler and schedule fields
+        super().__post_init__()
 
     def sampler_config(self, seed_offset: int = 0) -> SamplerConfig:
-        return SamplerConfig(
-            iterations=self.iterations,
-            schedule=AnnealingSchedule(l0=self.l0, decay=self.decay, l_min=self.l_min),
-            seed=self.seed + seed_offset,
-            checkpoint_every=self.checkpoint_every,
-            epsilon=self.epsilon,
-        )
+        return replace(self, seed=self.seed + seed_offset)
 
 
 # ---------------------------------------------------------------------------

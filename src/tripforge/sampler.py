@@ -23,26 +23,22 @@ class FrozenChainError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AnnealingSchedule:
-    l0: float = 1.0
-    decay: float = 0.99
-    l_min: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
-        if not (math.isfinite(self.l_min) and self.l_min > 0.0):
-            raise ValueError(f"l_min must be finite and positive, got {self.l_min}")
-        if not (math.isfinite(self.l0) and self.l0 >= self.l_min):
-            raise ValueError(f"l0 must be finite and at least l_min, got {self.l0}")
-
-
-@dataclass(frozen=True)
 class SamplerConfig:
-    iterations: int
-    schedule: AnnealingSchedule = AnnealingSchedule()
-    seed: int = 0
+    """The chain's settings: length, seed, trace period, schedule and
+    objective stabilizer.
+
+    The temperature starts at `l0` and is multiplied by `decay` once per
+    sweep, down to `l_min`.  These defaults cool hard within a few sweeps:
+    per-move error changes scale like 1/n, so on large demands the schedule
+    must reach very low temperatures quickly for the chain to settle.
+    """
+
+    iterations: int = 100_000
     checkpoint_every: int = 25_000
+    seed: int = 7
+    l0: float = 1.0
+    decay: float = 0.05
+    l_min: float = 1e-6
     epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -50,6 +46,14 @@ class SamplerConfig:
             raise ValueError("iterations must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.decay <= 1.0:
+            raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
+        if not (math.isfinite(self.l_min) and self.l_min > 0.0):
+            raise ValueError(f"l_min must be finite and positive, got {self.l_min}")
+        if not (math.isfinite(self.l0) and self.l0 >= self.l_min):
+            raise ValueError(f"l0 must be finite and at least l_min, got {self.l0}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
@@ -171,8 +175,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     # initialization draws.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
 
-    schedule = config.schedule
-    temperature = schedule.l0
+    temperature = config.l0
     n = state.n
     eps = config.epsilon
 
@@ -211,7 +214,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
                 best_error = state.cached_error
                 best_assignment[:] = state.assignment
         if it % n == 0:
-            temperature = max(schedule.l_min, temperature * schedule.decay)
+            temperature = max(config.l_min, temperature * config.decay)
         if it % config.checkpoint_every == 0 or it == config.iterations:
             record(it)
 

@@ -187,6 +187,12 @@ class SynthConfig:
             raise ValueError("trips_per_day must be >= 1")
         if self.days < 1:
             raise ValueError("days must be >= 1")
+        if self.planner_k < 1:
+            raise ValueError(f"planner_k must be at least 1, got {self.planner_k}")
+        if self.od_pool_size is not None and self.od_pool_size < 1:
+            raise ValueError(f"od_pool_size must be at least 1, got {self.od_pool_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.day_types is not None:
             if len(self.day_types) != self.days:
                 raise ValueError("day_types must list one label per day")

@@ -8,7 +8,6 @@ import time
 import numpy as np
 
 from tripforge import (
-    AnnealingSchedule,
     EvalConfig,
     Histogram,
     MismatchSpec,
@@ -135,7 +134,9 @@ def test_criterion_04_oracle_optimality_on_tiny_instances():
             iterations=50_000,
             seed=trial,
             checkpoint_every=25_000,
-            schedule=AnnealingSchedule(l0=1.0, decay=0.999, l_min=1e-3),
+            l0=1.0,
+            decay=0.999,
+            l_min=1e-3,
         )
         trace = run(sets, spec, cfg)
         if trace.best_error <= ref + 1e-9:

@@ -198,6 +198,7 @@ class TestCmdSynth:
     @pytest.mark.parametrize("key, value", [
         ("dwell_mean_s", "nan"), ("round_dwell_mean_s", "-5"), ("detour_rank_decay", "-1"),
         ("weekend_dwell_factor", "inf"), ("grid_spacing_m", "nan"), ("grid_spacing_m", "0"),
+        ("seed", "-3"), ("od_pool_size", "0"), ("planner_k", "0"),
     ])
     def test_bad_number_exits_2(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "synth.cfg"
@@ -206,6 +207,14 @@ class TestCmdSynth:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("od_pool_size", 0), ("planner_k", 0)])
+    def test_bad_count_names_field(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "synth.cfg"
+        write_synth_config(cfg_path, **{key: value})
+        rc = main(["synth", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "synth.cfg"
@@ -517,6 +526,7 @@ class TestCmdEval:
         (["--test-day", "9"], None),
         ([], ("day_001_working", "day_x2_working")),
         ([], ("day_000_working", "day_000_holiday")),
+        (["--seed", "-5"], None),
     ])
     def test_malformed_input_exits_2(self, tmp_path, generated_inputs, capsys, flags, rename):
         root = generated_inputs["root"]

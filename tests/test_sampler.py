@@ -5,9 +5,9 @@ import pytest
 
 from tripforge import (
     CHARACTERISTICS,
-    AnnealingSchedule,
     CandidateSet,
     ChainState,
+    EvalConfig,
     FrozenChainError,
     MismatchEntry,
     MismatchSpec,
@@ -68,14 +68,14 @@ class TestAcceptanceProbability:
 class TestSchedules:
     def test_decay_bounds(self):
         with pytest.raises(ValueError):
-            AnnealingSchedule(decay=0.0)
+            SamplerConfig(decay=0.0)
         with pytest.raises(ValueError):
-            AnnealingSchedule(decay=1.5)
-        AnnealingSchedule(decay=1.0)  # error-neutral runs may disable cooling
+            SamplerConfig(decay=1.5)
+        SamplerConfig(decay=1.0)  # error-neutral runs may disable cooling
 
     def test_floor_positive(self):
         with pytest.raises(ValueError):
-            AnnealingSchedule(l_min=0.0)
+            SamplerConfig(l_min=0.0)
 
 
 def single_leg_route(o, d, line, depart=28_800, ride=900):
@@ -205,7 +205,7 @@ class TestRun:
         spec = spec_matching_initial_state(sets, seed=5)
         cfg = SamplerConfig(
             iterations=5_000, seed=5, checkpoint_every=1_000,
-            schedule=AnnealingSchedule(decay=1.0),
+            decay=1.0,
         )
         trace = run(sets, spec, cfg)
         for cp in trace.checkpoints[1:]:
@@ -228,7 +228,7 @@ class TestRun:
         spec = default_spec(rng)
         cfg = SamplerConfig(
             iterations=20_000, seed=1, checkpoint_every=2_000,
-            schedule=AnnealingSchedule(l0=1.0, decay=0.9, l_min=1e-3),
+            l0=1.0, decay=0.9, l_min=1e-3,
         )
         trace = run(sets, spec, cfg)
         bests = [cp.best_error for cp in trace.checkpoints]
@@ -246,7 +246,7 @@ class TestRun:
         spec = default_spec(rng)
         cfg = SamplerConfig(
             iterations=3_000, seed=8, checkpoint_every=1_000,
-            schedule=AnnealingSchedule(l0=1.0, decay=0.99, l_min=1e-3),
+            l0=1.0, decay=0.99, l_min=1e-3,
         )
         trace = run(sets, spec, cfg)
         assert trace.best_state.assignment.tolist() == [
@@ -270,7 +270,7 @@ class TestRun:
         sets, spec = prepared_grid_day.candidate_sets, prepared_grid_day.spec
         cfg = SamplerConfig(
             iterations=20 * len(sets), seed=5, checkpoint_every=1_000,
-            schedule=AnnealingSchedule(l0=1.0, decay=0.05, l_min=1e-6),
+            l0=1.0, decay=0.05, l_min=1e-6,
         )
         trace = run(sets, spec, cfg)
         best = trace.best_state.assignment.astype("<i8").tobytes()
@@ -282,6 +282,22 @@ class TestRun:
         assert [cp.acceptance_rate for cp in trace.checkpoints] == [
             0.0, 0.588, 0.124, 0.075, 0.08372093023255814,
         ]
+
+    def test_eval_config_runs_the_sampler_config_chain(self):
+        # EvalConfig extends SamplerConfig: the chain settings, their defaults
+        # and the chain they run are SamplerConfig's own.
+        fields = ("iterations", "checkpoint_every", "seed", "l0", "decay", "l_min", "epsilon")
+        assert [getattr(EvalConfig(), f) for f in fields] == [
+            getattr(SamplerConfig(), f) for f in fields
+        ]
+        rng = np.random.default_rng(43)
+        sets = make_candidate_sets(rng, n_triples=30)
+        spec = default_spec(rng)
+        plain = run(sets, spec, SamplerConfig(iterations=60_000, seed=12))
+        evaluated = run(sets, spec, EvalConfig(iterations=60_000, seed=12))
+        assert len(plain.checkpoints) == 4
+        assert plain.checkpoints == evaluated.checkpoints
+        assert np.array_equal(plain.best_state.assignment, evaluated.best_state.assignment)
 
     def test_cache_coherent_after_run(self):
         rng = np.random.default_rng(31)
@@ -314,7 +330,7 @@ class TestRun:
             best_ref, _ = oracle_min_error(sets, spec)
             cfg = SamplerConfig(
                 iterations=50_000, seed=trial, checkpoint_every=10_000,
-                schedule=AnnealingSchedule(l0=1.0, decay=0.999, l_min=1e-3),
+                l0=1.0, decay=0.999, l_min=1e-3,
             )
             trace = run(sets, spec, cfg)
             if trace.best_error <= best_ref + 1e-9:
