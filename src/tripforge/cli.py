@@ -81,7 +81,10 @@ def parse_synth_config(path) -> SynthConfig:
         try:
             network = build_grid_network(**grid)
         except ValueError as exc:
-            raise ConfigError(f"grid network: {exc}") from None
+            # Its messages start with the argument's name; report the key instead.
+            arg, _, rest = str(exc).partition(" ")
+            key = next((k for k, a in _GRID_KEYS.items() if a == arg), None)
+            raise ConfigError(f"{key} {rest}" if key else f"grid network: {exc}") from None
 
     day_types = values.pop("day_types", None)
     if day_types is not None:

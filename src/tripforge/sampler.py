@@ -5,7 +5,9 @@ restricted to the non-current candidates.  Acceptance compares objective
 values on a log scale with the temperature exponent, so improving moves are
 always accepted and the exponent 1/L never overflows.  The temperature decays
 once per sweep (one sweep = one proposal per demand on average), keeping
-schedules comparable across demand sizes.
+schedules comparable across demand sizes.  The proposals read a PCG64 stream
+spawned off the seed, in raw 64-bit blocks, and turn its words into exactly
+the integers and doubles numpy's `Generator` would draw from that seed.
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ def _weighted_draw(weights, u: float, skip: int = -1) -> int:
 def propose(state: ChainState, rng) -> tuple[int, int, float]:
     """One single-variable proposal.
 
+    `rng` is anything with numpy `Generator`'s `integers(low, high)` and
+    `random()`: a `Generator`, or the stream `run` builds, which returns the
+    same values.
+
     Picks a demand uniformly among those with >= 2 candidates, then a
     candidate different from the current one, drawn from the set's weights
     renormalized over the non-current candidates.  Returns (demand index,
@@ -135,6 +141,49 @@ def propose(state: ChainState, rng) -> tuple[int, int, float]:
     cand = _weighted_draw(weights, rng.random() * (1.0 - w_cur), cur)
     w_new = weights[cand]
     return j, cand, (w_cur * (1.0 - w_cur)) / (w_new * (1.0 - w_new))
+
+
+class _ProposalStream:
+    """The draws `np.random.default_rng(seed)` makes through `integers(low,
+    high)` and `random()`, value for value, without numpy's per-call cost.
+
+    Words come from `PCG64.random_raw` in blocks of 1024.  A double is the top
+    53 bits of a word times 2**-53.  An integer uses Lemire's multiply-and-
+    reject method on 32-bit draws, which take a fresh word's low half first
+    and keep its high half for the next 32-bit draw, as PCG64 does; a range
+    of 1 draws nothing.  Ranges above 2**32, which numpy serves from 64-bit
+    draws, are not supported.
+    """
+
+    def __init__(self, seed: np.random.SeedSequence) -> None:
+        bitgen = np.random.PCG64(seed)
+
+        def words():  # closes over no `self`, so a finished stream is freed at once
+            while True:
+                yield from bitgen.random_raw(1024).tolist()
+
+        self._word = words().__next__
+        self._high = None  # the unused high half of the last word split
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        m = high - low
+        if not 1 < m <= 1 << 32:
+            if m == 1:
+                return low
+            raise ValueError(f"high - low must lie in [1, 2**32], got {m}")
+        threshold = ((1 << 32) - m) % m
+        while True:
+            if self._high is None:
+                word = self._word()
+                x, self._high = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, self._high = self._high, None
+            product = x * m
+            if product & 0xFFFFFFFF >= threshold:
+                return low + (product >> 32)
 
 
 def acceptance_probability(
@@ -173,7 +222,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     initial_assignment = state.assignment.copy()
     # The proposal stream is spawned off the seed so it never replays the
     # initialization draws.
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    rng = _ProposalStream(np.random.SeedSequence(config.seed, spawn_key=(1,)))
 
     temperature = config.l0
     n = state.n

@@ -49,6 +49,10 @@ def build_grid_network(
     per column, each served in both directions with a shared headway."""
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
+    if not (math.isfinite(spacing_m) and spacing_m > 0.0):
+        raise ValueError(f"spacing_m must be finite and positive, got {spacing_m}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     dlat = spacing_m / _METERS_PER_DEG_LAT
     dlon = spacing_m / (_METERS_PER_DEG_LAT * math.cos(math.radians(base_lat)))

@@ -198,7 +198,7 @@ class TestCmdSynth:
     @pytest.mark.parametrize("key, value", [
         ("dwell_mean_s", "nan"), ("round_dwell_mean_s", "-5"), ("detour_rank_decay", "-1"),
         ("weekend_dwell_factor", "inf"), ("grid_spacing_m", "nan"), ("grid_spacing_m", "0"),
-        ("seed", "-3"), ("od_pool_size", "0"), ("planner_k", "0"),
+        ("seed", "-3"), ("od_pool_size", "0"), ("planner_k", "0"), ("grid_spacing_m", "-600"),
     ])
     def test_bad_number_exits_2(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "synth.cfg"
@@ -208,7 +208,10 @@ class TestCmdSynth:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value", [("seed", -1), ("od_pool_size", 0), ("planner_k", 0)])
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1), ("od_pool_size", 0), ("planner_k", 0), ("network_seed", -1),
+        ("grid_spacing_m", -600), ("grid_spacing_m", "nan"),
+    ])
     def test_bad_count_names_field(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "synth.cfg"
         write_synth_config(cfg_path, **{key: value})

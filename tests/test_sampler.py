@@ -20,6 +20,7 @@ from tripforge import (
     propose,
     run,
 )
+from tripforge.sampler import _ProposalStream
 
 from conftest import make_leg, make_stop
 from oracles import oracle_min_error
@@ -182,7 +183,32 @@ def spec_matching_initial_state(sets, seed):
     return MismatchSpec(entries=entries)
 
 
+class TestProposalStream:
+    @pytest.mark.parametrize("m", [1, 2, 3, 1990, 2**31 + 1, 2**32])
+    def test_matches_generator_call_for_call(self, m):
+        # 2 000 rounds read 4 000 to 6 000 words, more than three blocks of
+        # 1 024.  At m = 2**31 + 1 Lemire's method rejects about half the
+        # 32-bit draws; at m = 1 it draws nothing, so the doubles after it
+        # would shift if a word were read.
+        seed = np.random.SeedSequence(2019, spawn_key=(1,))
+        stream, generator = _ProposalStream(seed), np.random.default_rng(seed)
+
+        def draws(rng):
+            return [(rng.integers(0, m), rng.random(), rng.random()) for _ in range(2_000)]
+
+        assert draws(stream) == draws(generator)
+        for bad in (0, 2**32 + 1):
+            with pytest.raises(ValueError):
+                stream.integers(0, bad)
+
+
 class TestRun:
+    def test_frozen_chain_raises(self):
+        rng = np.random.default_rng(10)
+        sets = make_candidate_sets(rng, n_triples=5, max_cands=1)
+        with pytest.raises(FrozenChainError):
+            run(sets, default_spec(rng), SamplerConfig(iterations=1, seed=0))
+
     def test_already_optimal_stays_at_zero(self):
         rng = np.random.default_rng(21)
         sets = make_candidate_sets(rng, n_triples=12)
