@@ -158,6 +158,12 @@ class _NetworkIndex:
                     nbrs.append((j, int(math.ceil(d / walk_speed))))
             self.walk.append(nbrs)
 
+        # skeleton key fields, low to high: walk_s, alight_pos, board_pos, line, node
+        w = max((s for nbrs in self.walk for _, s in nbrs), default=0).bit_length()
+        p = max((len(s) - 1 for s in self.line_stops), default=0).bit_length()
+        self.key_offsets = (0, w, w + p, w + 2 * p, w + 2 * p + (len(self.lines) - 1).bit_length())
+        self.node_bits = sum(len(s) * (len(s) - 1) // 2 for s in self.line_stops).bit_length()
+
         # wait_gcd[a][b]: gcd of the headways of lines a and b.  The extra
         # last row is all ones, so row -1 (no line ridden yet) bounds no wait.
         self.wait_gcd = [[math.gcd(a.headway_s, b.headway_s) for b in net.lines]
@@ -174,16 +180,20 @@ class _SkeletonCache:
     A skeleton is a flat int tuple (bound, line, board_pos, alight_pos,
     walk_s, line, ...), walk_s being the walk to the leg's board stop and
     bound the wait-aware lower bound on its realized generalized cost (see
-    the module docstring).  by_dest[d] holds those ending at stop d in tuple
-    order, which is (bound, legs) order.  The ceiling is on static cost,
-    which is at most the bound: a skeleton it leaves out has a bound above
-    the ceiling too.  Bit d of `exhausted` is set when the ceiling cut nothing
-    on the way to d, so by_dest[d] is all of d's skeletons.
+    the module docstring).  by_dest[d] files those ending at stop d as sorted
+    int keys, so in bound order: bound << shift over the node (an index into
+    nodes, which holds the flat legs before the last) and the last leg, at
+    _NetworkIndex.key_offsets.  The ceiling is on static cost, at most the
+    bound, so a skeleton it leaves out has a bound above the ceiling too.
+    Bit d of `exhausted` is set when the ceiling cut nothing on the way to d,
+    so by_dest[d] is all of d's skeletons.
     """
 
     ceiling: int
-    by_dest: list[list[tuple[int, ...]]]
+    by_dest: list[list[int]]
     exhausted: int
+    nodes: list[tuple[int, ...]]
+    shift: int
 
 
 def _search_origin(
@@ -199,19 +209,25 @@ def _search_origin(
     explored for every destination its path neither boarded nor alighted at,
     bar its board stop, so those lose their exhausted bit.
 
-    Static cost decides the ceiling cut; the bound stored in slot 0 adds
+    Static cost decides the ceiling cut; the bound in a key's high bits adds
     each transfer's least wait (see the module docstring).
     """
     penalty = index.transfer_penalty_s
     phase = index.phase
-    by_dest: list[list[tuple[int, ...]]] = [[] for _ in index.stops]
+    _, apos_at, pos_at, line_at, node_at = index.key_offsets
+    shift = node_at + (max_legs - 1) * index.node_bits  # < n_legs ** (max_legs - 1) nodes
+    # each hop also carries its key part: ride_s added to the bound, alight_pos
+    boardings = [[(li, pos, [(a, s, r, r << shift | a << apos_at) for a, s, r in hops])
+                  for li, pos, hops in b] for b in index.boardings]
+    by_dest: list[list[int]] = [[] for _ in index.stops]
+    nodes: list[tuple[int, ...]] = [()]
     exhausted = -1  # bit d set: nothing on the way to d was cut
-    max_len = 4 * max_legs
-    # (static cost, bound, current stop, skeleton legs so far, boarded mask, alighted mask)
-    stack: list = [(0, 0, origin, (), 0, 0)]
+    # (static cost, bound, current stop, node of the path, boarded mask, alighted mask)
+    stack: list = [(0, 0, origin, 0, 0, 0)]
     while stack:
-        cost, bound, at, legs, boarded, alighted = stack.pop()
-        extend = len(legs) + 4 < max_len
+        cost, bound, at, node, boarded, alighted = stack.pop()
+        legs = nodes[node]
+        extend = len(legs) < 4 * max_legs - 4
         if legs:
             prev_line, transfer_s, nbrs = legs[-4], penalty, index.walk[at]
             arrive = phase[prev_line][legs[-2]]
@@ -225,11 +241,12 @@ def _search_origin(
             bound_base = bound + walk_s + transfer_s
             ready = arrive + walk_s
             now_boarded = boarded | (1 << nb)
-            for li, pos, hops in index.boardings[nb]:
+            for li, pos, hops in boardings[nb]:
                 if li == prev_line:
                     continue
                 wait_base = bound_base + (phase[li][pos] - ready) % gcds[li]
-                for apos, alight, ride_s in hops:
+                key = wait_base << shift | node << node_at | li << line_at | pos << pos_at | walk_s
+                for apos, alight, ride_s, hop_key in hops:
                     if now_boarded >> alight & 1:
                         continue
                     new_cost = base + ride_s
@@ -237,19 +254,15 @@ def _search_origin(
                         # later alight positions only cost more
                         exhausted &= now_boarded | alighted
                         break
-                    new_bound = wait_base + ride_s
-                    if not extend:  # the last leg level: no path is kept
-                        if not alighted >> alight & 1:
-                            by_dest[alight].append((new_bound, *legs, li, pos, apos, walk_s))
-                        continue
-                    new_legs = legs + (li, pos, apos, walk_s)
                     if not alighted >> alight & 1:
-                        by_dest[alight].append((new_bound, *new_legs))
-                    now_alighted = alighted | (1 << alight)
-                    stack.append((new_cost, new_bound, alight, new_legs, now_boarded, now_alighted))
-    for skeletons in by_dest:
-        skeletons.sort()
-    return _SkeletonCache(ceiling=ceiling, by_dest=by_dest, exhausted=exhausted)
+                        by_dest[alight].append(key + hop_key)
+                    if extend:
+                        stack.append((new_cost, wait_base + ride_s, alight, len(nodes),
+                                      now_boarded, alighted | (1 << alight)))
+                        nodes.append(legs + (li, pos, apos, walk_s))
+    for keys in by_dest:
+        keys.sort()
+    return _SkeletonCache(ceiling, by_dest, exhausted, nodes, shift)
 
 
 def _realize(index: _NetworkIndex, skeleton: tuple[int, ...], depart_time: int) -> list[int] | None:
@@ -336,9 +349,13 @@ def k_top_routes(
         # ordering stays exact).  The cost is the double generalized_cost
         # gives; the identity is Route.identity as a list.
         realized: list[tuple[float, int, list, tuple[int, ...], list[int]]] = []
-        for skeleton in cache.by_dest[d]:
-            if len(realized) >= k and realized[k - 1][0] < skeleton[0]:
+        at = (*index.key_offsets, cache.shift)
+        fields = [(lo, (1 << hi - lo) - 1) for lo, hi in zip(at, at[1:])]  # (offset, mask)
+        for key in cache.by_dest[d]:
+            if len(realized) >= k and realized[k - 1][0] < key >> cache.shift:
                 break
+            walk_s, apos, pos, li, node = [key >> lo & mask for lo, mask in fields]
+            skeleton = (key >> cache.shift, *cache.nodes[node], li, pos, apos, walk_s)
             times = _realize(index, skeleton, triple.depart_time)
             if times is None:
                 continue

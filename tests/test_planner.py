@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -258,8 +259,26 @@ class TestSharedSearch:
         h = hashlib.sha256()
         for origin in range(len(net.stops)):
             cache = planner._search_origin(net._index, origin, ceiling, planner.DEFAULT_MAX_LEGS)
-            h.update(repr((cache.by_dest, cache.exhausted)).encode())
+            assert all(keys == sorted(keys) for keys in cache.by_dest)
+            by_dest = [sorted(skeleton_of(net._index, cache, key) for key in keys)
+                       for keys in cache.by_dest]
+            h.update(repr((by_dest, cache.exhausted)).encode())
         assert h.hexdigest() == digest
+
+    def test_skeleton_store_stays_small(self):
+        # The 212 064 skeletons of the first ceiling; filed as flat 13-int
+        # tuples they took 38 MB.
+        net = build_grid_network(rows=5, cols=6, seed=0)
+        index = net._index
+        tracemalloc.start()
+        try:
+            caches = [planner._search_origin(index, origin, 3300, planner.DEFAULT_MAX_LEGS)
+                      for origin in range(len(net.stops))]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(keys) for cache in caches for keys in cache.by_dest) == 212_064
+        assert peak <= 16e6
 
     def test_od_pool_searches_each_origin_once(self, searches):
         cfg = SynthConfig(network=build_grid_network(rows=5, cols=6, seed=0), days=1,
@@ -326,6 +345,17 @@ class TestPlannerProperties:
             assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
 
 
+def skeleton_of(index, cache, key) -> tuple[int, ...]:
+    """The flat tuple (bound, line, board_pos, alight_pos, walk_s, line, ...)
+    that a skeleton key files: the bound above cache.shift, the legs of the
+    node it names, then its last leg's fields at the index's key offsets."""
+    offsets = (*index.key_offsets, cache.shift)
+    walk_s, apos, pos, line, node = (
+        (key >> lo) & ((1 << (hi - lo)) - 1) for lo, hi in zip(offsets, offsets[1:])
+    )
+    return (key >> cache.shift, *cache.nodes[node], line, pos, apos, walk_s)
+
+
 def static_cost(net, skeleton) -> int:
     """Rides, walks and transfer penalties of a skeleton, from the lines."""
     cost = net.transfer_penalty_s * ((len(skeleton) - 1) // 4 - 1)
@@ -344,8 +374,8 @@ class TestWaitBound:
         departs = data.draw(st.lists(st.integers(0, 86_399), min_size=1, max_size=6))
         index = net._index
         cache = planner._search_origin(index, origin, planner._CEILING_CAP_S, max_legs)
-        for skeletons in cache.by_dest:
-            for skeleton in skeletons:
+        for keys in cache.by_dest:
+            for skeleton in (skeleton_of(index, cache, key) for key in keys):
                 bound = skeleton[0]
                 assert static_cost(net, skeleton) <= bound
                 for depart in departs:
@@ -353,3 +383,56 @@ class TestWaitBound:
                     if times is not None:
                         cost = times[-1] - times[0] + net.transfer_penalty_s * (len(times) // 2 - 1)
                         assert bound <= cost
+
+
+class TestSkeletonKeys:
+    @pytest.fixture
+    def long_line_net(self):
+        """A 300-stop line L, and a short line S, run both ways, with a stop
+        700 m from L's stop 290: at 1 cm/s that transfer walks 70 000 s, so
+        board and alight positions pass 255 and walks pass 65 535 s."""
+        trunk = [grid_stop(f"l{i}", 1000.0 * i) for i in range(300)]
+        t0 = grid_stop("t0", 290_000.0, 700.0)
+        t1 = grid_stop("t1", 290_000.0, 5000.0)
+        lines = (simple_line("L", trunk, ride_s=60, last=60 * 3600),
+                 simple_line("S", [t0, t1], last=60 * 3600),
+                 simple_line("Sr", [t1, t0], last=60 * 3600))
+        return TransitNetwork(stops=(*trunk, t0, t1), lines=lines, walk_speed_mps=0.01)
+
+    def test_fields_are_as_wide_as_the_network_needs(self, long_line_net):
+        net = long_line_net
+        index = net._index
+        positions, walks_s = set(), set()
+        for origin in (0, 280, 299, 301):
+            cache = planner._search_origin(index, origin, planner._CEILING_CAP_S,
+                                           planner.DEFAULT_MAX_LEGS)
+            for dest, keys in enumerate(cache.by_dest):
+                for key in keys:
+                    skeleton = skeleton_of(index, cache, key)
+                    assert skeleton[0] == key >> cache.shift
+                    assert static_cost(net, skeleton) <= skeleton[0]
+                    at, walks = origin, [(origin, 0)]
+                    for i in range(1, len(skeleton), 4):
+                        li, pos, apos, walk_s = skeleton[i : i + 4]
+                        assert 0 <= li < len(net.lines)
+                        stops = index.line_stops[li]
+                        assert 0 <= pos < apos < len(stops)
+                        assert (stops[pos], walk_s) in walks
+                        positions.update((pos, apos))
+                        walks_s.add(walk_s)
+                        at = stops[apos]
+                        walks = index.walk[at]
+                    assert at == dest
+        assert max(positions) > 255
+        assert max(walks_s) > 65_535
+
+    @pytest.mark.parametrize("origin, dest", [(0, 301), (280, 301), (301, 299), (5, 299)])
+    def test_long_line_routes_equal_exhaustive_enumeration(self, long_line_net, origin, dest):
+        net = long_line_net
+        triple = ODTriple(origin=net.stops[origin], destination=net.stops[dest],
+                          depart_time=7 * 3600, demand_id="w")
+        expected = oracle_enumerate_routes(net, triple, max_legs=3)[:5]
+        got = k_top_routes(net, triple, k=5, max_legs=3)
+        assert got
+        assert [r.identity for r in got] == [r.identity for r in expected]
+        assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
