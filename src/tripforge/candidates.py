@@ -17,20 +17,17 @@ class TripHistory:
     first-boarding times sorted for slot lookups."""
 
     def __init__(self, routes):
-        self.routes: list[Route] = []
-        self._index: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
-        for route in routes:
-            self.add(route)
-
-    def add(self, route: Route) -> None:
-        pos = len(self.routes)
-        self.routes.append(route)
-        key = (route.origin.stop_id, route.destination.stop_id)
-        times, ids = self._index.setdefault(key, ([], []))
-        t = route.legs[0].board_time
-        at = bisect.bisect_right(times, t)
-        times.insert(at, t)
-        ids.insert(at, pos)
+        self.routes: list[Route] = list(routes)
+        by_od: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        for pos, route in enumerate(self.routes):
+            key = (route.origin.stop_id, route.destination.stop_id)
+            by_od.setdefault(key, []).append((route.legs[0].board_time, pos))
+        # Per OD key: (first boardings, positions), sorted by boarding and
+        # then by position, so that of equal boardings the earlier route
+        # comes first.
+        self._index: dict[tuple[str, str], tuple[tuple[int, ...], tuple[int, ...]]] = {
+            key: tuple(zip(*sorted(pairs))) for key, pairs in by_od.items()
+        }
 
 
 def _reanchor(route: Route, depart_time: int) -> Route:
@@ -45,9 +42,10 @@ def history_lookup(
     slot_width: int = 1200,
 ) -> list[tuple[Route, int]]:
     """History routes matching the demand's stops within +-slot_width seconds
-    of its departure.  Frequencies are aggregated by route identity; returned
-    routes are re-anchored to the demand's departure time, ranked by
-    frequency (ties by identity)."""
+    of its departure, one per route identity with its frequency, ranked by
+    frequency (ties by identity).  Each identity's earliest-boarding route (of
+    equal boardings, the first added) is re-anchored to the demand's departure
+    time."""
     if slot_width <= 0:
         raise ValueError("slot_width must be positive")
     key = (triple.origin.stop_id, triple.destination.stop_id)
@@ -57,15 +55,10 @@ def history_lookup(
     times, ids = entry
     lo = bisect.bisect_left(times, triple.depart_time - slot_width)
     hi = bisect.bisect_right(times, triple.depart_time + slot_width)
-    agg: dict[tuple, tuple[Route, int]] = {}
+    agg: dict[tuple, list] = {}  # identity -> [earliest route, frequency]
     for at in range(lo, hi):
         route = hist.routes[ids[at]]
-        ident = route.identity
-        if ident in agg:
-            first, freq = agg[ident]
-            agg[ident] = (first, freq + 1)
-        else:
-            agg[ident] = (route, 1)
+        agg.setdefault(route.identity, [route, 0])[1] += 1
     ranked = sorted(agg.items(), key=lambda kv: (-kv[1][1], kv[0]))
     return [(_reanchor(route, triple.depart_time), freq) for _, (route, freq) in ranked]
 
@@ -88,28 +81,18 @@ def build_candidate_set(
     if not planner_routes and not history_routes:
         raise CandidateError(f"no route assignment exists for demand {triple.demand_id!r}")
 
-    order: list[tuple] = []
-    routes: dict[tuple, Route] = {}
-    planner_hits: dict[tuple, int] = {}
-    history_freq: dict[tuple, int] = {}
-
+    # identity -> [first route, planner hits, history frequency], in the
+    # order identities are first seen
+    table: dict[tuple, list] = {}
     for route in planner_routes:
-        ident = route.identity
-        if ident not in routes:
-            order.append(ident)
-            routes[ident] = route
-        planner_hits[ident] = planner_hits.get(ident, 0) + 1
-    n_planner = len(planner_hits)
+        table.setdefault(route.identity, [route, 0, 0])[1] += 1
+    n_planner = len(table)
 
     total_freq = 0
     for route, freq in history_routes:
         if freq < 1:
             raise ValueError("history frequencies must be >= 1")
-        ident = route.identity
-        if ident not in routes:
-            order.append(ident)
-            routes[ident] = route
-        history_freq[ident] = history_freq.get(ident, 0) + freq
+        table.setdefault(route.identity, [route, 0, 0])[2] += freq
         total_freq += freq
 
     planner_mass = lambda_mix if total_freq > 0 else 1.0
@@ -117,20 +100,18 @@ def build_candidate_set(
         planner_mass = 0.0
     history_mass = 1.0 - planner_mass
 
-    weighted: list[tuple[tuple, float]] = []
-    for ident in order:
+    weighted: list[tuple[Route, float, int, int]] = []
+    for route, hits, freq in table.values():
         w = 0.0
-        if ident in planner_hits:
+        if hits:
             w += planner_mass / n_planner
-        if ident in history_freq:
-            w += history_mass * history_freq[ident] / total_freq
+        if freq:
+            w += history_mass * freq / total_freq
         if w > 0.0:
             # lambda_mix extremes assign zero mass to single-source candidates;
             # those are unreachable states and are dropped.
-            weighted.append((ident, w))
-    scale = sum(w for _, w in weighted)
-    candidates = tuple((routes[ident], w / scale) for ident, w in weighted)
-    provenance = tuple(
-        (planner_hits.get(ident, 0), history_freq.get(ident, 0)) for ident, _ in weighted
-    )
+            weighted.append((route, w, hits, freq))
+    scale = sum(w for _, w, _, _ in weighted)
+    candidates = tuple((route, w / scale) for route, w, _, _ in weighted)
+    provenance = tuple((hits, freq) for _, _, hits, freq in weighted)
     return CandidateSet(triple=triple, candidates=candidates, provenance=provenance)

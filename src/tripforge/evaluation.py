@@ -105,31 +105,25 @@ class MismatchReport:
         raise KeyError(tag)
 
 
-def _joint_grid(full_times, transfer_times, full_edges, transfer_edges) -> np.ndarray:
-    grid, _, _ = np.histogram2d(full_times, transfer_times, bins=[full_edges, transfer_edges])
+def _joint_grid(values: dict[str, np.ndarray]) -> np.ndarray:
+    grid, _, _ = np.histogram2d(values[FULL_TIME], values[TRANSFER_TIME],
+                                bins=[DEFAULT_EDGES[FULL_TIME], DEFAULT_EDGES[TRANSFER_TIME]])
     return grid / grid.sum() if grid.sum() > 0 else grid
 
 
-def mismatch_report(
-    observed,
-    simulated,
-    edges: dict[str, np.ndarray] | None = None,
-    threshold_s: int = 1800,
-) -> MismatchReport:
+def mismatch_report(observed, simulated, threshold_s: int = 1800) -> MismatchReport:
     """Three-characteristic comparison of two trip sets plus the joint
-    (full time, transfer time) grid."""
+    (full time, transfer time) grid, on `DEFAULT_EDGES`."""
     observed = list(observed)
     simulated = list(simulated)
     if not observed or not simulated:
         raise EvalError("mismatch report needs non-empty observed and simulated trips")
-    if edges is None:
-        edges = DEFAULT_EDGES
     obs = {tag: characteristic_values(tag, observed) for tag in CHARACTERISTICS}
     sim = {tag: characteristic_values(tag, simulated) for tag in CHARACTERISTICS}
     comparisons = []
     for tag in CHARACTERISTICS:
-        h_obs = Histogram.from_values(obs[tag], edges[tag])
-        h_sim = Histogram.from_values(sim[tag], edges[tag])
+        h_obs = Histogram.from_values(obs[tag], DEFAULT_EDGES[tag])
+        h_sim = Histogram.from_values(sim[tag], DEFAULT_EDGES[tag])
         comparisons.append(
             CharacteristicComparison(
                 tag=tag,
@@ -140,25 +134,22 @@ def mismatch_report(
                 simulated_mean=float(np.mean(sim[tag])),
             )
         )
-    full_edges, transfer_edges = edges[FULL_TIME], edges[TRANSFER_TIME]
     joint = JointTimeGrid(
-        full_edges=full_edges,
-        transfer_edges=transfer_edges,
-        observed_density=_joint_grid(obs[FULL_TIME], obs[TRANSFER_TIME], full_edges, transfer_edges),
-        simulated_density=_joint_grid(sim[FULL_TIME], sim[TRANSFER_TIME], full_edges, transfer_edges),
+        full_edges=DEFAULT_EDGES[FULL_TIME],
+        transfer_edges=DEFAULT_EDGES[TRANSFER_TIME],
+        observed_density=_joint_grid(obs),
+        simulated_density=_joint_grid(sim),
         threshold_s=threshold_s,
     )
     return MismatchReport(comparisons=tuple(comparisons), joint=joint)
 
 
-def planner_baseline(
-    triples, network: TransitNetwork, k: int = 1
-) -> list[Route]:
+def planner_baseline(triples, network: TransitNetwork) -> list[Route]:
     """Best planner route per demand; round-trip demands (which a planner
     never serves) are skipped."""
     out = []
     for triple in triples:
-        routes = k_top_routes(network, triple, k=k)
+        routes = k_top_routes(network, triple, k=1)
         if routes:
             out.append(routes[0])
     return out

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import (
+    CHARACTERISTICS,
     DEFAULT_EDGES,
     MismatchEntry,
     MismatchSpec,
@@ -128,6 +129,7 @@ def read_network(path) -> TransitNetwork:
     lines: list[Line] = []
     fields: dict[str, float] = {}
     stop_lineno: dict[str, int] = {}  # stop id -> line of its `stop` directive
+    line_lineno: dict[str, int] = {}  # line id -> line of its `line` directive
     line_stops: list[tuple[int, str]] = []  # (line, stop id) of each stop a line block names
 
     def fail(lineno, msg):
@@ -160,6 +162,7 @@ def read_network(path) -> TransitNetwork:
             if len(parts) != 8 or parts[2] != "headway" or parts[4] != "first" or parts[6] != "last":
                 fail(lineno, "line needs: line <id> headway <s> first <s> last <s>")
             line_id = parts[1]
+            _once(line_lineno, path, lineno, "line id", line_id)
             headway, first_dep, last_dep = (
                 _field(path, lineno, parts, at, int) for at in (3, 5, 7)
             )
@@ -368,6 +371,7 @@ def read_targets(path) -> MismatchSpec:
     entries: list[MismatchEntry] = []
     block: dict | None = None
     components: list[tuple[float, float, float]] = []
+    tag_lineno: dict[str, int] = {}  # tag -> line of its `characteristic` directive
 
     def fail(lineno, msg):
         raise FormatError(path, lineno, msg)
@@ -376,11 +380,7 @@ def read_targets(path) -> MismatchSpec:
         nonlocal block, components
         tag = block["tag"]
         kind = block.get("kind")
-        edges = block.get("edges")
-        if edges is None:
-            if tag not in DEFAULT_EDGES:
-                fail(lineno, f"characteristic {tag!r} needs explicit edges")
-            edges = DEFAULT_EDGES[tag]
+        edges = block["edges"] if "edges" in block else DEFAULT_EDGES[tag]
         try:
             if kind == "empirical":
                 masses = block["masses"]
@@ -410,7 +410,11 @@ def read_targets(path) -> MismatchSpec:
         if key == "characteristic":
             if block is not None:
                 fail(lineno, "previous characteristic block not closed with 'end'")
-            block = {"tag": _field(path, lineno, parts, 1, str)}
+            tag = _field(path, lineno, parts, 1, str)
+            if tag not in CHARACTERISTICS:
+                fail(lineno, f"unknown characteristic {tag!r}, expected one of {CHARACTERISTICS}")
+            _once(tag_lineno, path, lineno, "characteristic", tag)
+            block = {"tag": tag}
         elif block is None:
             fail(lineno, f"directive {key!r} outside a characteristic block")
         elif key == "end":

@@ -244,14 +244,13 @@ class MismatchSpec:
         return tuple(e.tag for e in self.entries)
 
 
-def build_empirical_target(routes, tag: str, edges: np.ndarray | None = None) -> TargetDistribution:
-    """Empirical target from the tagged characteristic of a route collection."""
+def build_empirical_target(routes, tag: str) -> TargetDistribution:
+    """Empirical target from the tagged characteristic of a route collection,
+    on the characteristic's `DEFAULT_EDGES`."""
     values = characteristic_values(tag, routes)
     if not values.size:
         raise ValueError("cannot build a target from an empty route list")
-    if edges is None:
-        edges = DEFAULT_EDGES[tag]
-    return empirical_target(Histogram.from_values(values, edges))
+    return empirical_target(Histogram.from_values(values, DEFAULT_EDGES[tag]))
 
 
 def l1_mismatch(h, z) -> float:

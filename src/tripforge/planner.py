@@ -88,6 +88,9 @@ class TransitNetwork:
         ids = [s.stop_id for s in self.stops]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate stop ids in network")
+        line_ids = [line.line_id for line in self.lines]
+        if len(set(line_ids)) != len(line_ids):
+            raise ValueError("duplicate line ids in network")
         known = set(ids)
         for line in self.lines:
             missing = [s for s in line.stop_ids if s not in known]

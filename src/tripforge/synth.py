@@ -30,20 +30,23 @@ class SynthError(RuntimeError):
 
 _METERS_PER_DEG_LAT = 111_195.0
 
+# What every grid city shares: its south-west corner, bus speed, how much
+# longer a ride is than the straight segment, the headways a line pair draws
+# from, and the service window of every line.
+_BASE_LAT = 45.0
+_BASE_LON = 5.0
+_BUS_SPEED_MPS = 7.0
+_SEGMENT_DETOUR = 1.03
+_HEADWAY_CHOICES = (420, 600, 900)
+_FIRST_DEP_S = 5 * 3600
+_LAST_DEP_S = 23 * 3600
+
 
 def build_grid_network(
     rows: int = 5,
     cols: int = 6,
     spacing_m: float = 600.0,
     seed: int = 0,
-    base_lat: float = 45.0,
-    base_lon: float = 5.0,
-    bus_speed_mps: float = 7.0,
-    segment_detour: float = 1.03,
-    headway_choices: tuple[int, ...] = (420, 600, 900),
-    first_dep_s: int = 5 * 3600,
-    last_dep_s: int = 23 * 3600,
-    transfer_penalty_s: int = 300,
 ) -> TransitNetwork:
     """A rectangular city: one east-west line per row, one north-south line
     per column, each served in both directions with a shared headway."""
@@ -55,70 +58,33 @@ def build_grid_network(
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     dlat = spacing_m / _METERS_PER_DEG_LAT
-    dlon = spacing_m / (_METERS_PER_DEG_LAT * math.cos(math.radians(base_lat)))
+    dlon = spacing_m / (_METERS_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT)))
 
-    stops = []
-    for r in range(rows):
-        for c in range(cols):
-            stops.append(
-                Stop(
-                    stop_id=f"s{r:02d}{c:02d}",
-                    lat=base_lat + r * dlat,
-                    lon=base_lon + c * dlon,
-                    name=f"Stop {r}/{c}",
+    stops = [
+        Stop(f"s{r:02d}{c:02d}", _BASE_LAT + r * dlat, _BASE_LON + c * dlon, f"Stop {r}/{c}")
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    # Each line pair draws one headway and serves its stops both ways.
+    pairs = [(f"ew{r}", stops[r * cols:(r + 1) * cols], "east", "west") for r in range(rows)]
+    pairs += [(f"ns{c}", stops[c::cols], "north", "south") for c in range(cols)]
+    lines: list[Line] = []
+    for name, path, fwd, bwd in pairs:
+        headway = int(rng.choice(_HEADWAY_CHOICES))
+        for direction, way in ((fwd, path), (bwd, path[::-1])):
+            dists = tuple(great_circle_m(a, b) * _SEGMENT_DETOUR for a, b in zip(way, way[1:]))
+            lines.append(
+                Line(
+                    line_id=f"{name}-{direction}",
+                    stop_ids=tuple(s.stop_id for s in way),
+                    seg_ride_s=tuple(int(math.ceil(d / _BUS_SPEED_MPS)) + 20 for d in dists),
+                    seg_dist_m=dists,
+                    headway_s=headway,
+                    first_dep_s=_FIRST_DEP_S,
+                    last_dep_s=_LAST_DEP_S,
                 )
             )
-    grid = {(r, c): stops[r * cols + c] for r in range(rows) for c in range(cols)}
-
-    def _segments(path: list[Stop]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        rides = []
-        dists = []
-        for a, b in zip(path, path[1:]):
-            d = great_circle_m(a, b) * segment_detour
-            dists.append(d)
-            rides.append(int(math.ceil(d / bus_speed_mps)) + 20)
-        return tuple(rides), tuple(dists)
-
-    lines: list[Line] = []
-
-    def _add_pair(name: str, path: list[Stop], fwd: str, bwd: str) -> None:
-        headway = int(rng.choice(headway_choices))
-        rides, dists = _segments(path)
-        lines.append(
-            Line(
-                line_id=f"{name}-{fwd}",
-                stop_ids=tuple(s.stop_id for s in path),
-                seg_ride_s=rides,
-                seg_dist_m=dists,
-                headway_s=headway,
-                first_dep_s=first_dep_s,
-                last_dep_s=last_dep_s,
-            )
-        )
-        rev = list(reversed(path))
-        rides_r, dists_r = _segments(rev)
-        lines.append(
-            Line(
-                line_id=f"{name}-{bwd}",
-                stop_ids=tuple(s.stop_id for s in rev),
-                seg_ride_s=rides_r,
-                seg_dist_m=dists_r,
-                headway_s=headway,
-                first_dep_s=first_dep_s,
-                last_dep_s=last_dep_s,
-            )
-        )
-
-    for r in range(rows):
-        _add_pair(f"ew{r}", [grid[(r, c)] for c in range(cols)], "east", "west")
-    for c in range(cols):
-        _add_pair(f"ns{c}", [grid[(r, c)] for r in range(rows)], "north", "south")
-
-    return TransitNetwork(
-        stops=tuple(stops),
-        lines=tuple(lines),
-        transfer_penalty_s=transfer_penalty_s,
-    )
+    return TransitNetwork(stops=tuple(stops), lines=tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -126,30 +92,36 @@ def build_grid_network(
 # ---------------------------------------------------------------------------
 
 
+# The departure peaks as (mean, sigma) seconds, and the window departures
+# are drawn in.
+_MORNING_PEAK = (8 * 3600, 4500)
+_EVENING_PEAK = (17 * 3600 + 1800, 5400)
+_WINDOW_START_S = 6 * 3600
+_WINDOW_END_S = 22 * 3600
+
+
 @dataclass(frozen=True)
 class TimeProfile:
-    """Departure-time density: two Gaussian peaks over a uniform floor."""
+    """Departure-time density in 06:00-22:00: a uniform floor of weight
+    floor_weight, the rest split evenly between Gaussian peaks at 08:00
+    (sigma 75 min) and 17:30 (sigma 90 min)."""
 
-    morning_peak_s: int = 8 * 3600
-    morning_sigma_s: int = 4500
-    evening_peak_s: int = 17 * 3600 + 1800
-    evening_sigma_s: int = 5400
     floor_weight: float = 0.25
-    window_start_s: int = 6 * 3600
-    window_end_s: int = 22 * 3600
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails the test.
+        if not 0.0 <= self.floor_weight <= 1.0:
+            raise ValueError(f"floor_weight must lie in [0, 1], got {self.floor_weight}")
 
     def draw(self, rng: np.random.Generator) -> int:
         if rng.random() < self.floor_weight:
-            return int(rng.integers(self.window_start_s, self.window_end_s))
-        if rng.random() < 0.5:
-            mu, sigma = self.morning_peak_s, self.morning_sigma_s
-        else:
-            mu, sigma = self.evening_peak_s, self.evening_sigma_s
+            return int(rng.integers(_WINDOW_START_S, _WINDOW_END_S))
+        mu, sigma = _MORNING_PEAK if rng.random() < 0.5 else _EVENING_PEAK
         for _ in range(32):
             t = int(rng.normal(mu, sigma))
-            if self.window_start_s <= t < self.window_end_s:
+            if _WINDOW_START_S <= t < _WINDOW_END_S:
                 return t
-        return int(rng.integers(self.window_start_s, self.window_end_s))
+        return int(rng.integers(_WINDOW_START_S, _WINDOW_END_S))
 
     def flattened(self) -> "TimeProfile":
         return replace(self, floor_weight=1.0)
@@ -172,7 +144,7 @@ class SynthConfig:
     weekend_round_factor: float = 2.0
     weekend_dwell_factor: float = 2.0
     planner_k: int = 5
-    od_pool_size: int | None = 600
+    od_pool_size: int = 600
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -193,7 +165,7 @@ class SynthConfig:
             raise ValueError("days must be >= 1")
         if self.planner_k < 1:
             raise ValueError(f"planner_k must be at least 1, got {self.planner_k}")
-        if self.od_pool_size is not None and self.od_pool_size < 1:
+        if self.od_pool_size < 1:
             raise ValueError(f"od_pool_size must be at least 1, got {self.od_pool_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -217,7 +189,6 @@ class SynthConfig:
         stops = self.network.stops
         pairs = [(a, b) for a in stops for b in stops if a.stop_id != b.stop_id]
         order = rng.permutation(len(pairs))
-        want = self.od_pool_size if self.od_pool_size is not None else len(pairs)
         pool: list[tuple[Stop, Stop]] = []
         probe_t = 12 * 3600
         for idx in order:
@@ -225,7 +196,7 @@ class SynthConfig:
             probe = ODTriple(origin=o, destination=d, depart_time=probe_t, demand_id="probe")
             if k_top_routes(self.network, probe, k=1):
                 pool.append((o, d))
-                if len(pool) >= want:
+                if len(pool) >= self.od_pool_size:
                     break
         if not pool:
             raise SynthError("no reachable origin-destination pair in the network")

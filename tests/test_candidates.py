@@ -64,6 +64,30 @@ class TestHistoryLookup:
         assert anchored.legs[0].board_time == 29_000
         assert anchored.legs[1].board_time - anchored.legs[0].alight_time == 600
 
+    def test_earliest_boarding_route_stands_for_its_identity(self, od_stops):
+        # Two routes on the same legs with different transfer gaps: the one
+        # re-anchored is the one that boarded first and, of equal first
+        # boardings, the one added first.
+        o, d = od_stops
+        mid = make_stop("m", 2500.0)
+        triple = ODTriple(origin=o, destination=d, depart_time=30_000, demand_id="t")
+
+        def two_legs(depart, gap):
+            return Route(legs=(
+                make_leg(o, mid, depart, depart + 600, line="A"),
+                make_leg(mid, d, depart + 600 + gap, depart + 1200 + gap, line="B"),
+            ))
+
+        def anchored_gap(routes):
+            (anchored, freq), = history_lookup(TripHistory(routes), triple, slot_width=1800)
+            assert freq == 2
+            return anchored.legs[1].board_time - anchored.legs[0].alight_time
+
+        assert anchored_gap([two_legs(30_100, 900), two_legs(30_000, 300)]) == 300
+        assert anchored_gap([two_legs(30_000, 300), two_legs(30_100, 900)]) == 300
+        assert anchored_gap([two_legs(30_000, 300), two_legs(30_000, 900)]) == 300
+        assert anchored_gap([two_legs(30_000, 900), two_legs(30_000, 300)]) == 900
+
     def test_lunchtime_slot_ranks_frequent_slow_route_first(self, od_stops):
         """One OD pair served by five routes; a slow one dominates lunch
         observations and must rank first in that slot."""

@@ -398,6 +398,9 @@ class TestCmdGenerate:
         ("network", "transfer_penalty_s 300", "transfer_penalty_s -1", 2),
         ("network", "stop s0001 ", "stop s0000 ", 6),
         ("network", "\n  stop s0001\n", "\n  stop s9999\n", 12),
+        ("network", "line ew0-west ", "line ew0-east ", 14),
+        ("targets", "characteristic transfer_time", "characteristic full_time", 7),
+        ("targets", "characteristic angle_ratio", "characteristic foo", 13),
     ])
     def test_malformed_network_or_targets_exits_2(
         self, tmp_path, generated_inputs, capsys, name, old, new, lineno

@@ -64,6 +64,16 @@ def two_line_net():
     return TransitNetwork(stops=stops, lines=(line_a, line_b, line_c))
 
 
+class TestTransitNetwork:
+    def test_rejects_duplicate_line_ids(self, two_line_net):
+        # A repeated id would merge two lines in Route.identity and in the
+        # trips format.
+        line_a, line_b, line_c = two_line_net.lines
+        with pytest.raises(ValueError, match="duplicate line ids"):
+            TransitNetwork(stops=two_line_net.stops,
+                           lines=(line_a, line_b, replace(line_c, line_id="A")))
+
+
 class TestKTopRoutes:
     def test_round_trip_demand_gets_no_recommendation(self, two_line_net):
         a = two_line_net.stops[0]

@@ -7,6 +7,7 @@ import pytest
 
 from tripforge import (
     SynthConfig,
+    TimeProfile,
     angle_ratio,
     build_grid_network,
     full_trip_time,
@@ -49,6 +50,11 @@ class TestConfig:
         assert labels.count(WORKING) == 17
         assert labels.count(WEEKEND) == 8
         assert labels[0] == WEEKEND and labels[1] == WEEKEND and labels[2] == WORKING
+
+    @pytest.mark.parametrize("floor_weight", [float("nan"), -0.1, 1.5])
+    def test_time_profile_rejects_floor_weight_outside_unit_interval(self, floor_weight):
+        with pytest.raises(ValueError, match="floor_weight"):
+            TimeProfile(floor_weight=floor_weight)
 
     def test_used_config_can_be_freed(self, small_net):
         cfg = small_cfg(small_net, trips_per_day=20, od_pool_size=5)
