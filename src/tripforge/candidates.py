@@ -112,6 +112,10 @@ def build_candidate_set(
             # those are unreachable states and are dropped.
             weighted.append((route, w, hits, freq))
     scale = sum(w for _, w, _, _ in weighted)
-    candidates = tuple((route, w / scale) for route, w, _, _ in weighted)
+    weighted = [(route, w / scale, hits, freq) for route, w, hits, freq in weighted]
+    # A weight that rounds to 1.0 leaves the others less mass than a double
+    # can hold beside it: the chain could never leave it, so it stands alone.
+    weighted = [c for c in weighted if c[1] == 1.0] or weighted
+    candidates = tuple((route, w) for route, w, _, _ in weighted)
     provenance = tuple((hits, freq) for _, _, hits, freq in weighted)
     return CandidateSet(triple=triple, candidates=candidates, provenance=provenance)

@@ -152,16 +152,17 @@ def read_network(path) -> TransitNetwork:
             parts = raw.split(None, 4)  # the name is the rest of the line, spaces and all
             if len(parts) < 4:
                 fail(lineno, "stop needs: stop <id> <lat> <lon> [name]")
-            _once(stop_lineno, path, lineno, "stop id", parts[1])
+            stop_id = _read_id(path, lineno, "stop id", parts[1])
+            _once(stop_lineno, path, lineno, "stop id", stop_id)
             name = parts[4].rstrip() if len(parts) == 5 else None
             try:
-                stops.append(Stop(parts[1], float(parts[2]), float(parts[3]), name))
+                stops.append(Stop(stop_id, float(parts[2]), float(parts[3]), name))
             except ValueError as exc:
                 fail(lineno, str(exc))
         elif key == "line":
             if len(parts) != 8 or parts[2] != "headway" or parts[4] != "first" or parts[6] != "last":
                 fail(lineno, "line needs: line <id> headway <s> first <s> last <s>")
-            line_id = parts[1]
+            line_id = _read_id(path, lineno, "line id", parts[1])
             _once(line_lineno, path, lineno, "line id", line_id)
             headway, first_dep, last_dep = (
                 _field(path, lineno, parts, at, int) for at in (3, 5, 7)

@@ -162,8 +162,9 @@ def validate_route(route: Route) -> list[str]:
 class CandidateSet:
     """Weighted route alternatives for one demand triple.
 
-    candidates are (route, weight) pairs; weights are strictly positive and
-    sum to one. provenance carries per-candidate (planner_hits, history_freq).
+    candidates are (route, weight) pairs; weights are strictly positive, below
+    one in a set of two or more, and sum to one. provenance carries
+    per-candidate (planner_hits, history_freq).
     """
 
     triple: ODTriple
@@ -178,6 +179,9 @@ class CandidateSet:
         for route, weight in self.candidates:
             if weight <= 0.0:
                 raise ValueError(f"demand {self.triple.demand_id!r}: non-positive weight {weight}")
+            if weight >= 1.0 and len(self.candidates) > 1:
+                raise ValueError(f"demand {self.triple.demand_id!r}: weight {weight} in a set of "
+                                 f"{len(self.candidates)} leaves the others no mass")
             ident = route.identity
             if ident in seen:
                 raise ValueError(f"demand {self.triple.demand_id!r}: duplicate candidate {ident}")

@@ -6,18 +6,30 @@ recursive enumeration and per-assignment histogram recomputation.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
+import numpy as np
+
 from tripforge import (
+    ChainState,
+    Checkpoint,
     Histogram,
     Leg,
     Route,
+    RunTrace,
+    acceptance_probability,
+    apply_delta,
     characteristic_values,
+    delta_error,
     full_trip_time,
     great_circle_m,
+    initialize,
     l1_mismatch,
+    propose,
 )
+from tripforge.sampler import _ProposalStream
 
 
 def characteristic_value(tag: str, route: Route) -> float:
@@ -159,3 +171,51 @@ def oracle_min_error(candidate_sets, spec):
             best = err
             best_assign = combo
     return best, best_assign
+
+
+def reference_run(candidate_sets, spec, config) -> RunTrace:
+    """`sampler.run` composed from the public step functions: `propose`,
+    `delta_error`, `acceptance_probability` and `apply_delta` over the same
+    proposal stream, one call each per proposal."""
+    candidate_sets = list(candidate_sets)
+    state = initialize(candidate_sets, spec, config.seed)
+    initial_assignment = state.assignment.copy()
+    rng = _ProposalStream(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    temperature = config.l0
+    best_error = state.cached_error
+    best_assignment = state.assignment.copy()
+    checkpoints = []
+    accepted = proposed = 0
+
+    def record(iteration):
+        nonlocal accepted, proposed
+        rate = accepted / proposed if proposed else 0.0
+        checkpoints.append(Checkpoint(iteration, state.cached_error, best_error, rate, temperature))
+        accepted = proposed = 0
+
+    record(0)
+    for it in range(1, config.iterations + 1):
+        j, cand, q_ratio = propose(state, rng)
+        err_cand = delta_error(state, j, cand)
+        alpha = acceptance_probability(
+            state.cached_error, err_cand, q_ratio, temperature, config.epsilon
+        )
+        proposed += 1
+        if rng.random() < alpha:
+            apply_delta(state, j, cand)
+            accepted += 1
+            if state.cached_error < best_error:
+                best_error = state.cached_error
+                best_assignment[:] = state.assignment
+        if it % state.n == 0:
+            temperature = max(config.l_min, temperature * config.decay)
+        if it % config.checkpoint_every == 0 or it == config.iterations:
+            record(it)
+
+    best_state = ChainState(candidate_sets, spec, best_assignment)
+    rebuilt = best_state.cached_error
+    checkpoints = [
+        dataclasses.replace(c, best_error=rebuilt) if c.best_error == best_error else c
+        for c in checkpoints
+    ]
+    return RunTrace(tuple(checkpoints), initial_assignment, state, best_state)

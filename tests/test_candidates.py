@@ -3,6 +3,7 @@ import pytest
 
 from tripforge import (
     CandidateError,
+    CandidateSet,
     ODTriple,
     Route,
     TransitNetwork,
@@ -168,6 +169,19 @@ class TestBuildCandidateSet:
         # history-only candidates carry no mass and vanish; the rest are equal
         assert len(cs) == 3
         assert all(w == pytest.approx(1.0 / 3.0) for w in cs.weights)
+
+    def test_weight_rounding_to_one_stands_alone(self, od_stops):
+        # At lambda_mix 1e-20 the history route's weight rounds to 1.0, which
+        # would make the restricted-kernel ratio 0 or divide by zero.
+        o, d = od_stops
+        triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
+        planner = [route_between(o, d, 28_900, line=l) for l in "AB"]
+        z = route_between(o, d, 29_000, line="Z")
+        cs = build_candidate_set(triple, planner, [(z, 9)], lambda_mix=1e-20)
+        assert cs.candidates == ((z, 1.0),)
+        assert cs.provenance == ((0, 9),)
+        with pytest.raises(ValueError, match="demand 't': weight 1.0 in a set of 2"):
+            CandidateSet(triple=triple, candidates=((z, 1.0), (planner[0], 1e-20)))
 
     def test_dedup_bound(self, od_stops):
         rng = np.random.default_rng(71)

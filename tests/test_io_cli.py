@@ -401,6 +401,8 @@ class TestCmdGenerate:
         ("network", "line ew0-west ", "line ew0-east ", 14),
         ("targets", "characteristic transfer_time", "characteristic full_time", 7),
         ("targets", "characteristic angle_ratio", "characteristic foo", 13),
+        ("network", "line ew0-east ", "line ew0,east ", 9),
+        ("network", "stop s0001 ", "stop a,b ", 6),
     ])
     def test_malformed_network_or_targets_exits_2(
         self, tmp_path, generated_inputs, capsys, name, old, new, lineno
@@ -489,6 +491,18 @@ class TestCmdEval:
         series = (out / "distributions.csv").read_text().splitlines()
         assert series[0].startswith("characteristic,bin_left,bin_right")
         assert len(series) == 1 + 180 + 60 + 50
+
+    def test_extreme_lambda_mix_runs(self, tmp_path, generated_inputs):
+        # History weights round to 1.0 beside planner weights of 1e-20.
+        rc = main([
+            "eval", "--mode", "oneday",
+            "--history-dir", str(generated_inputs["root"]),
+            "--test-day", "1",
+            "--iterations", "500",
+            "--lambda-mix", "1e-20",
+            "--out-dir", str(tmp_path / "ev"),
+        ])
+        assert rc == 0
 
     def test_online_row_count(self, tmp_path, generated_inputs):
         out = tmp_path / "ev2"

@@ -23,7 +23,7 @@ from tripforge import (
 from tripforge.sampler import _ProposalStream
 
 from conftest import make_leg, make_stop
-from oracles import oracle_min_error
+from oracles import oracle_min_error, reference_run
 from test_metrics import default_spec, make_candidate_sets
 
 
@@ -183,6 +183,18 @@ def spec_matching_initial_state(sets, seed):
     return MismatchSpec(entries=entries)
 
 
+def error_neutral_sets():
+    """20 demands, each with 3 equally weighted time-shifted copies of one
+    route: every move leaves the objective unchanged."""
+    o, d = make_stop("o", 0.0), make_stop("d", 4000.0)
+    sets = []
+    for j in range(20):
+        routes = [single_leg_route(o, d, f"L{i}", depart=28_800 + 60 * i) for i in range(3)]
+        triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id=f"t{j}")
+        sets.append(CandidateSet(triple=triple, candidates=tuple((r, 1 / 3) for r in routes)))
+    return sets
+
+
 class TestProposalStream:
     @pytest.mark.parametrize("m", [1, 2, 3, 1990, 2**31 + 1, 2**32])
     def test_matches_generator_call_for_call(self, m):
@@ -222,12 +234,7 @@ class TestRun:
         # candidates inside each set are time-shifted copies (identical
         # characteristics) with equal weights: every proposal is error-neutral
         # and weight-corrected, so the acceptance rate is exactly 1
-        o, d = make_stop("o", 0.0), make_stop("d", 4000.0)
-        sets = []
-        for j in range(20):
-            routes = [single_leg_route(o, d, f"L{i}", depart=28_800 + 60 * i) for i in range(3)]
-            triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id=f"t{j}")
-            sets.append(CandidateSet(triple=triple, candidates=tuple((r, 1 / 3) for r in routes)))
+        sets = error_neutral_sets()
         spec = spec_matching_initial_state(sets, seed=5)
         cfg = SamplerConfig(
             iterations=5_000, seed=5, checkpoint_every=1_000,
@@ -362,3 +369,61 @@ class TestRun:
             if trace.best_error <= best_ref + 1e-9:
                 hits += 1
         assert hits >= 9
+
+
+def _random_instance(seed):
+    # one to four candidates per demand, so singletons sit among larger sets
+    rng = np.random.default_rng(seed)
+    sets = make_candidate_sets(rng, n_triples=40, max_cands=4)
+    assert 0 < len([cs for cs in sets if len(cs) == 1]) < len(sets)
+    return sets, default_spec(rng)
+
+
+class TestRunMatchesReference:
+    """`run`'s fused loop against `reference_run`, which composes the public
+    step functions: every checkpoint, assignment, cached count and float must
+    agree to the bit."""
+
+    def assert_same(self, sets, spec, cfg):
+        trace, ref = run(sets, spec, cfg), reference_run(sets, spec, cfg)
+        assert repr(trace.checkpoints) == repr(ref.checkpoints)
+        assert trace.initial_assignment.tolist() == ref.initial_assignment.tolist()
+        assert trace.best_state.assignment.tolist() == ref.best_state.assignment.tolist()
+        assert repr(trace.best_error) == repr(ref.best_error)
+        final, ref_final = trace.final_state, ref.final_state
+        assert final.assignment.tolist() == ref_final.assignment.tolist()
+        assert final.counts == ref_final.counts
+        assert repr(final._dev_sums) == repr(ref_final._dev_sums)
+        assert repr(final.cached_error) == repr(ref_final.cached_error)
+        return trace
+
+    @pytest.mark.parametrize("seed, l0, decay", [(3, 1.0, 0.05), (4, 1e-2, 0.5), (5, 1.0, 0.9)])
+    def test_random_sets_with_singletons(self, seed, l0, decay):
+        sets, spec = _random_instance(seed)
+        cfg = SamplerConfig(iterations=4_000, seed=seed, checkpoint_every=700, l0=l0, decay=decay)
+        self.assert_same(sets, spec, cfg)
+
+    def test_one_eligible_demand(self):
+        # integers(0, 1) reads no word, so the stream is all acceptance draws
+        sets, spec = _random_instance(3)
+        sets = [cs for cs in sets if len(cs) == 1] + [next(cs for cs in sets if len(cs) > 1)]
+        self.assert_same(sets, spec, SamplerConfig(iterations=1_000, seed=2, checkpoint_every=300))
+
+    def test_hot_chain_crosses_resyncs(self):
+        sets, spec = _random_instance(7)
+        cfg = SamplerConfig(iterations=3_000, seed=8, checkpoint_every=500, decay=0.99, l_min=1e-3)
+        trace = self.assert_same(sets, spec, cfg)
+        windows = zip(trace.checkpoints[1:], trace.checkpoints)
+        accepted = sum(round(c.acceptance_rate * (c.iteration - p.iteration)) for c, p in windows)
+        assert accepted > 2 * 128  # more than two resyncs of the cached sums
+
+    def test_error_neutral_moves_at_decay_one(self):
+        sets = error_neutral_sets()
+        spec = spec_matching_initial_state(sets, seed=5)
+        cfg = SamplerConfig(iterations=2_000, seed=5, checkpoint_every=500, decay=1.0)
+        self.assert_same(sets, spec, cfg)
+
+    def test_prepared_day(self, prepared_grid_day):
+        sets, spec = prepared_grid_day.candidate_sets, prepared_grid_day.spec
+        cfg = SamplerConfig(iterations=10 * len(sets), seed=5, checkpoint_every=600)
+        self.assert_same(sets, spec, cfg)
