@@ -177,8 +177,8 @@ class CandidateSet:
         total = 0.0
         seen: set[tuple, ] = set()
         for route, weight in self.candidates:
-            if weight <= 0.0:
-                raise ValueError(f"demand {self.triple.demand_id!r}: non-positive weight {weight}")
+            if not weight > 0.0:  # a NaN weight fails this test too
+                raise ValueError(f"demand {self.triple.demand_id!r}: weight {weight} is not positive")
             if weight >= 1.0 and len(self.candidates) > 1:
                 raise ValueError(f"demand {self.triple.demand_id!r}: weight {weight} in a set of "
                                  f"{len(self.candidates)} leaves the others no mass")

@@ -6,14 +6,15 @@ values on a log scale with the temperature exponent, so improving moves are
 always accepted and the exponent 1/L never overflows.  The temperature decays
 once per sweep (one sweep = one proposal per demand on average), keeping
 schedules comparable across demand sizes.  The proposals read a PCG64 stream
-spawned off the seed, in raw 64-bit blocks, and turn its words into exactly
-the integers and doubles numpy's `Generator` would draw from that seed.
+spawned off the seed and turn its words into exactly the integers and
+doubles numpy's `Generator` would draw from that seed, call for call.
 
-`run` executes one fused loop over local tables.  The public step functions
-`propose`, `delta_error`, `acceptance_probability` and `apply_delta` define
-each step, and are the reference the tests check the loop against, draw for
-draw and bit for bit.  On a 2-core x86 VM, fusing took a proposal on the
-benchmark's chain-long instance from about 2.8 µs to 1.8 µs.
+`run` draws its proposals in blocks of arrays and loops over them with local
+tables.  The public step functions `propose`, `delta_error`,
+`acceptance_probability` and `apply_delta` define each step, and are the
+reference the tests check the loop against, draw for draw and bit for bit.
+A proposal on the benchmark's chain-long instance takes about 1.15 µs on a
+2-core x86 VM, against 1.8 µs when each draw was one call.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import _RESYNC_EVERY, ChainState, MismatchSpec
+
+
+# The most proposals `run` draws in one block.
+_BLOCK = 4096
 
 
 class FrozenChainError(RuntimeError):
@@ -94,11 +99,10 @@ class RunTrace:
 def draw_assignment(candidate_sets, seed: int) -> np.ndarray:
     """One candidate index per demand, drawn independently from the candidate
     weights; the seed fixes the draw."""
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(len(candidate_sets), dtype=np.int64)
-    for j, cs in enumerate(candidate_sets):
-        assignment[j] = _weighted_draw(cs.weights, rng.random())
-    return assignment
+    draws = np.random.default_rng(seed).random(len(candidate_sets)).tolist()
+    return np.array(
+        [_weighted_draw(cs.weights, u) for cs, u in zip(candidate_sets, draws)], dtype=np.int64
+    )
 
 
 def initialize(candidate_sets, spec: MismatchSpec, seed: int) -> ChainState:
@@ -153,7 +157,8 @@ class _ProposalStream:
     """The draws `np.random.default_rng(seed)` makes through `integers(low,
     high)` and `random()`, value for value, without numpy's per-call cost.
 
-    Words come from `PCG64.random_raw` in blocks of 1024.  A double is the top
+    Words come from `PCG64.random_raw` into one buffer, read one at a time by
+    `integers` and `random` and many at once by `block`.  A double is the top
     53 bits of a word times 2**-53.  An integer uses Lemire's multiply-and-
     reject method on 32-bit draws, which take a fresh word's low half first
     and keep its high half for the next 32-bit draw, as PCG64 does; a range
@@ -162,14 +167,22 @@ class _ProposalStream:
     """
 
     def __init__(self, seed: np.random.SeedSequence) -> None:
-        bitgen = np.random.PCG64(seed)
-
-        def words():  # closes over no `self`, so a finished stream is freed at once
-            while True:
-                yield from bitgen.random_raw(1024).tolist()
-
-        self._word = words().__next__
+        self._bitgen = np.random.PCG64(seed)
+        self._buf, self._pos = np.empty(0, dtype=np.uint64), 0  # words, first unread
         self._high = None  # the unused high half of the last word split
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next `count` words, left unread: the caller advances `_pos`."""
+        if self._pos + count > len(self._buf):
+            fresh = self._bitgen.random_raw(max(count, 1024))
+            self._buf, self._pos = np.concatenate((self._buf[self._pos:], fresh)), 0
+        return self._buf[self._pos:self._pos + count]
+
+    def _word(self) -> int:
+        if self._pos == len(self._buf):
+            self._words(1)
+        self._pos += 1
+        return self._buf.item(self._pos - 1)
 
     def random(self) -> float:
         return (self._word() >> 11) * 2.0**-53
@@ -190,6 +203,49 @@ class _ProposalStream:
             product = x * m
             if product & 0xFFFFFFFF >= threshold:
                 return low + (product >> 32)
+
+    def block(self, m: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`count` rounds of `(integers(0, m), random(), random())` as three
+        arrays, equal to what those calls would return in turn.
+
+        With m > 1 the rounds alternately split a fresh word and take the
+        high half the round before left, so their words sit at known offsets.
+        At Lemire's first rejection the rounds before it are kept and that
+        round is drawn by the calls themselves.
+        """
+        if not 1 <= m <= 1 << 32:
+            raise ValueError(f"m must lie in [1, 2**32], got {m}")
+        parts = [np.empty((3, 0), np.uint64)]  # (integers, first words, second words)
+        if m == 1:  # integers(0, 1) reads no word
+            words = self._words(2 * count)
+            self._pos += 2 * count
+            parts.append((np.zeros(count, np.uint64), words[0::2], words[1::2]))
+            count = 0
+        threshold = ((1 << 32) - m) % m
+        while count:
+            saved = int(self._high is not None)
+            r = np.arange(count + 1)
+            fresh = (r + saved) % 2 == 0  # the rounds that split a fresh word
+            start = 2 * r + (r + 1 - saved) // 2  # the words read before each round
+            words = self._words(int(start[count]))
+            split = words[start[:count][fresh[:count]]]
+            halves = np.empty(2 * len(split) + saved, np.uint64)  # the 32-bit draws
+            halves[:saved] = self._high or 0  # the saved high half, if any
+            halves[saved::2], halves[saved + 1::2] = split & 0xFFFFFFFF, split >> 32
+            products = halves[:count] * np.uint64(m)  # below 2**64
+            rejected = np.flatnonzero(products & 0xFFFFFFFF < threshold)
+            k = int(rejected[0]) if len(rejected) else count
+            first = start[:k] + fresh[:k]
+            parts.append((products[:k] >> 32, words[first], words[first + 1]))
+            self._pos += int(start[k])
+            self._high = None if fresh[k] else halves.item(k)
+            if k < count:  # round k is rejected at least once: draw it one call at a time
+                parts.append(np.array([[self.integers(0, m)], [self._word()], [self._word()]],
+                                      np.uint64))
+                k += 1
+            count -= k
+        picks, firsts, seconds = map(np.concatenate, zip(*parts))
+        return picks.astype(np.int64), (firsts >> 11) * 2.0**-53, (seconds >> 11) * 2.0**-53
 
 
 def acceptance_probability(
@@ -229,14 +285,13 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     # The proposal stream is spawned off the seed so it never replays the
     # initialization draws.
     rng = _ProposalStream(np.random.SeedSequence(config.seed, spawn_key=(1,)))
-    integers, random = rng.integers, rng.random
 
     iterations, every, n = config.iterations, config.checkpoint_every, state.n
     temperature, decay, l_min, eps = config.l0, config.decay, config.l_min, config.epsilon
     eligible = state.eligible
     if iterations and not eligible:
         raise FrozenChainError("all candidate sets are singletons; chain cannot move")
-    n_eligible = len(eligible)
+    n_eligible, eligible = len(eligible), np.array(eligible, dtype=np.int64)
 
     all_weights, offsets = state.weights, state._offsets
     assignment, current = state.assignment, state.assignment.tolist()
@@ -254,65 +309,70 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     best_assignment = assignment.copy()
     checkpoints = [Checkpoint(0, error, best_error, 0.0, temperature)]
     accepted = last = 0  # accepted moves since, and iteration of, the last checkpoint
-    for it in range(1, iterations + 1):
-        # propose: a demand, then a candidate from the weights renormalized
-        # over the non-current ones
-        j = eligible[integers(0, n_eligible)]
-        weights = all_weights[j]
-        cur = current[j]
-        w_cur = weights[cur]
-        u = random() * (1.0 - w_cur)
-        acc = 0.0
-        for i, w in enumerate(weights):
-            if i != cur:
-                acc += w
-                cand = i
-                if u < acc:
-                    break
-        w_new = weights[cand]
-        q_ratio = (w_cur * (1.0 - w_cur)) / (w_new * (1.0 - w_new))
-        # delta_error, keeping each characteristic's deviation sum in `trial`
-        old = offsets[j] + cur
-        new = old - cur + cand
-        err_cand = 0.0
-        for ki, scale, rows, counts, nz in tables:
-            b_old, b_new = rows[old], rows[new]
-            dev = dev_sums[ki]
-            if b_old != b_new:
-                c_old, t_old = counts[b_old], nz[b_old]
-                c_new, t_new = counts[b_new], nz[b_new]
-                dev += (abs(c_old - 1 - t_old) - abs(c_old - t_old)
-                        + abs(c_new + 1 - t_new) - abs(c_new - t_new))
-            trial[ki] = dev
-            err_cand += scale * dev
-        # acceptance_probability, then the acceptance draw
-        log_alpha = log(q_ratio) + (log_error - log(err_cand + eps)) / temperature
-        u = random()
-        if log_alpha >= 0.0 or u < exp(log_alpha):
-            # apply_delta, with the deviation sums already in `trial`
-            for _, _, rows, counts, _ in tables:
+    done = 0  # proposals made
+    while done < iterations:
+        # A segment ends at the next cooling step, the next checkpoint or the
+        # block cap, and draws all its proposals in one block.
+        end = min(done + _BLOCK, (done // n + 1) * n, (done // every + 1) * every, iterations)
+        picks, us, vs = rng.block(n_eligible, end - done)
+        for j, u, v in zip(eligible[picks].tolist(), us.tolist(), vs.tolist()):
+            # propose: a candidate from the weights renormalized over the
+            # non-current ones
+            weights = all_weights[j]
+            cur = current[j]
+            w_cur = weights[cur]
+            u *= 1.0 - w_cur
+            acc = 0.0
+            for i, w in enumerate(weights):
+                if i != cur:
+                    acc += w
+                    cand = i
+                    if u < acc:
+                        break
+            w_new = weights[cand]
+            q_ratio = (w_cur * (1.0 - w_cur)) / (w_new * (1.0 - w_new))
+            # delta_error, keeping each characteristic's deviation sum in `trial`
+            old = offsets[j] + cur
+            new = old - cur + cand
+            err_cand = 0.0
+            for ki, scale, rows, counts, nz in tables:
                 b_old, b_new = rows[old], rows[new]
+                dev = dev_sums[ki]
                 if b_old != b_new:
-                    counts[b_old] -= 1
-                    counts[b_new] += 1
-            dev_sums[:] = trial
-            current[j] = assignment[j] = cand
-            state.cached_error = error = err_cand
-            applies += 1
-            if applies >= _RESYNC_EVERY:
-                state._resync()
-                applies, dev_sums, error = 0, state._dev_sums, state.cached_error
-            log_error = log(error + eps)
-            accepted += 1
-            if error < best_error:
-                best_error = error
-                best_assignment[:] = assignment
-        if it % n == 0:
+                    c_old, t_old = counts[b_old], nz[b_old]
+                    c_new, t_new = counts[b_new], nz[b_new]
+                    dev += (abs(c_old - 1 - t_old) - abs(c_old - t_old)
+                            + abs(c_new + 1 - t_new) - abs(c_new - t_new))
+                trial[ki] = dev
+                err_cand += scale * dev
+            # acceptance_probability against the acceptance draw v
+            log_alpha = log(q_ratio) + (log_error - log(err_cand + eps)) / temperature
+            if log_alpha >= 0.0 or v < exp(log_alpha):
+                # apply_delta, with the deviation sums already in `trial`
+                for _, _, rows, counts, _ in tables:
+                    b_old, b_new = rows[old], rows[new]
+                    if b_old != b_new:
+                        counts[b_old] -= 1
+                        counts[b_new] += 1
+                dev_sums[:] = trial
+                current[j] = assignment[j] = cand
+                state.cached_error = error = err_cand
+                applies += 1
+                if applies >= _RESYNC_EVERY:
+                    state._resync()
+                    applies, dev_sums, error = 0, state._dev_sums, state.cached_error
+                log_error = log(error + eps)
+                accepted += 1
+                if error < best_error:
+                    best_error = error
+                    best_assignment[:] = assignment
+        done = end
+        if done % n == 0:
             temperature = max(l_min, temperature * decay)
-        if it % every == 0 or it == iterations:
-            rate = accepted / (it - last)
-            checkpoints.append(Checkpoint(it, error, best_error, rate, temperature))
-            accepted, last = 0, it
+        if done % every == 0 or done == iterations:
+            rate = accepted / (done - last)
+            checkpoints.append(Checkpoint(done, error, best_error, rate, temperature))
+            accepted, last = 0, done
     state._applies = applies
 
     best_state = ChainState(candidate_sets, spec, best_assignment)

@@ -183,6 +183,15 @@ class TestBuildCandidateSet:
         with pytest.raises(ValueError, match="demand 't': weight 1.0 in a set of 2"):
             CandidateSet(triple=triple, candidates=((z, 1.0), (planner[0], 1e-20)))
 
+    def test_nan_weight_is_rejected(self, od_stops):
+        # NaN passes both `weight <= 0` and the sum test; a chain over the set
+        # would never move the demand.
+        o, d = od_stops
+        triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
+        r1, r2 = (route_between(o, d, 28_900, line=l) for l in "AB")
+        with pytest.raises(ValueError, match="demand 't': weight nan is not positive"):
+            CandidateSet(triple=triple, candidates=((r1, float("nan")), (r2, 0.5)))
+
     def test_dedup_bound(self, od_stops):
         rng = np.random.default_rng(71)
         o, d = od_stops

@@ -20,7 +20,7 @@ from tripforge import (
     propose,
     run,
 )
-from tripforge.sampler import _ProposalStream
+from tripforge.sampler import _BLOCK, _ProposalStream
 
 from conftest import make_leg, make_stop
 from oracles import oracle_min_error, reference_run
@@ -212,6 +212,29 @@ class TestProposalStream:
         for bad in (0, 2**32 + 1):
             with pytest.raises(ValueError):
                 stream.integers(0, bad)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 1990, 2**31 + 1, 2**32])
+    def test_block_matches_generator(self, m):
+        # A scalar integers(0, 2) after each block takes or leaves a 32-bit
+        # half, so blocks start both with and without a saved high half; the
+        # blocks of 3 000 and 4 097 rounds span several refills of 1 024
+        # words.  At m = 2**31 + 1 about half the 32-bit draws are rejected.
+        seed = np.random.SeedSequence(2019, spawn_key=(1,))
+        stream, generator = _ProposalStream(seed), np.random.default_rng(seed)
+        starts_saved = set()
+        for count in (1, 2, 5, 3_000, 4_097) * 2:
+            starts_saved.add(stream._high is not None)
+            picks, firsts, seconds = stream.block(m, count)
+            assert list(zip(picks.tolist(), firsts.tolist(), seconds.tolist())) == [
+                (generator.integers(0, m), generator.random(), generator.random())
+                for _ in range(count)
+            ]
+            assert stream.integers(0, 2) == generator.integers(0, 2)
+            assert stream.random() == generator.random()
+        assert starts_saved == {False, True}
+        for bad in (0, 2**32 + 1):
+            with pytest.raises(ValueError):
+                stream.block(bad, 1)
 
 
 class TestRun:
@@ -427,3 +450,31 @@ class TestRunMatchesReference:
         sets, spec = prepared_grid_day.candidate_sets, prepared_grid_day.spec
         cfg = SamplerConfig(iterations=10 * len(sets), seed=5, checkpoint_every=600)
         self.assert_same(sets, spec, cfg)
+
+    # `run` draws its proposals in segments that end at a cooling step, a
+    # checkpoint, the last iteration or after _BLOCK proposals.
+
+    def test_iterations_off_every_boundary(self):
+        # 39 demands: a sweep of odd length hands a saved high half to the
+        # next block
+        sets, spec = _random_instance(3)
+        sets = sets[:39]
+        self.assert_same(sets, spec, SamplerConfig(iterations=2_345, seed=6, checkpoint_every=600))
+
+    def test_sweep_longer_than_a_block(self):
+        sets, spec = _random_instance(4)
+        sets = sets * 110
+        assert len(sets) > _BLOCK
+        cfg = SamplerConfig(iterations=10_000, seed=7, checkpoint_every=9_000, decay=0.5)
+        self.assert_same(sets, spec, cfg)
+
+    def test_checkpoint_period_beyond_the_chain(self):
+        sets, spec = _random_instance(5)
+        trace = self.assert_same(sets, spec, SamplerConfig(iterations=1_000, seed=8,
+                                                           checkpoint_every=5_000))
+        assert [cp.iteration for cp in trace.checkpoints] == [0, 1_000]
+
+    def test_single_iteration(self):
+        sets, spec = _random_instance(6)
+        trace = self.assert_same(sets, spec, SamplerConfig(iterations=1, seed=9))
+        assert [cp.iteration for cp in trace.checkpoints] == [0, 1]
