@@ -16,8 +16,9 @@ phase_B - phase_A - walk modulo gcd(h_A, h_B), and being non-negative it is
 at least that residue.  Service windows only remove departures, so the sum
 stays a lower bound (the A* admissibility argument of Hart, Nilsson and
 Raphael, 1968).  Realization stops as soon as no unseen skeleton can beat the
-k-th realized route: the returned ranking is exact within the leg cap.  Only
-the k routes returned are built as Route objects.
+k-th realized route: the returned ranking is exact within the leg cap.
+Transfer options and leg records are tabled once per network, and a caller
+keeping one route builds one Route.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 from .metrics import full_trip_time
@@ -114,22 +116,17 @@ class _NetworkIndex:
     # cycle would keep both alive until a full garbage collection.
     def __init__(self, net: TransitNetwork):
         self.transfer_penalty_s = net.transfer_penalty_s
-        self.lines = net.lines
-        self.stops = list(net.stops)
         self.pos = {s.stop_id: i for i, s in enumerate(net.stops)}
 
         self.line_stops: list[list[int]] = []
-        self.ride_prefix: list[list[int]] = []
         # phase[li][pos]: first_dep_s plus the ride prefix; every departure
         # of line li from position pos is this plus a multiple of its headway
         self.phase: list[list[int]] = []
-        self.dist_prefix: list[list[float]] = []
-        # leg_ids[li][pos][apos]: the leg's (line id, board id, alight id)
-        self.leg_ids: list[list[list[tuple[str, str, str]]]] = []
-        # stop index -> [(line, board position, ((alight position, alight
-        # stop, ride seconds), ...))], one entry per possible boarding
-        self.boardings: list[list[tuple]] = [[] for _ in net.stops]
-        for li, line in enumerate(net.lines):
+        # legs[li][pos][apos], apos > pos: first and last departure at the board
+        # stop, headway, ride seconds, identity and (board stop, alight stop,
+        # line id, distance)
+        self.legs: list[list[list[tuple | None]]] = []
+        for line in net.lines:
             stop_idx = [self.pos[sid] for sid in line.stop_ids]
             self.line_stops.append(stop_idx)
             rp = [0]
@@ -137,16 +134,16 @@ class _NetworkIndex:
             for r, d in zip(line.seg_ride_s, line.seg_dist_m):
                 rp.append(rp[-1] + int(r))
                 dp.append(dp[-1] + float(d))
-            self.ride_prefix.append(rp)
             self.phase.append([line.first_dep_s + r for r in rp])
-            self.dist_prefix.append(dp)
-            ids = line.stop_ids
-            self.leg_ids.append([[(line.line_id, a, b) for b in ids] for a in ids])
-            for pos, si in enumerate(stop_idx[:-1]):
-                hops = tuple(
-                    (a, stop_idx[a], rp[a] - rp[pos]) for a in range(pos + 1, len(stop_idx))
-                )
-                self.boardings[si].append((li, pos, hops))
+            stops = [net.stops[i] for i in stop_idx]
+            self.legs.append([
+                [(line.first_dep_s + rp[pos], line.last_dep_s + rp[pos], line.headway_s,
+                  rp[apos] - rp[pos], (line.line_id, a.stop_id, b.stop_id),
+                  (a, b, line.line_id, dp[apos] - dp[pos])) if apos > pos else None
+                 for apos, b in enumerate(stops)]
+                for pos, a in enumerate(stops)
+            ])
+        self.headways = [line.headway_s for line in net.lines]
 
         # walkable neighbors within the transfer radius, self included
         self.walk: list[list[tuple[int, int]]] = []
@@ -164,16 +161,54 @@ class _NetworkIndex:
         # skeleton key fields, low to high: walk_s, alight_pos, board_pos, line, node
         w = max((s for nbrs in self.walk for _, s in nbrs), default=0).bit_length()
         p = max((len(s) - 1 for s in self.line_stops), default=0).bit_length()
-        self.key_offsets = (0, w, w + p, w + 2 * p, w + 2 * p + (len(self.lines) - 1).bit_length())
+        self.key_offsets = (0, w, w + p, w + 2 * p, w + 2 * p + (len(net.lines) - 1).bit_length())
         self.node_bits = sum(len(s) * (len(s) - 1) // 2 for s in self.line_stops).bit_length()
 
-        # wait_gcd[a][b]: gcd of the headways of lines a and b.  The extra
-        # last row is all ones, so row -1 (no line ridden yet) bounds no wait.
-        self.wait_gcd = [[math.gcd(a.headway_s, b.headway_s) for b in net.lines]
-                         for a in net.lines]
-        self.wait_gcd.append([1] * len(net.lines))
-
+        self.options: dict[int, list[list[tuple]]] = {}  # transfer options per key shift
         self.skeletons: dict[tuple[int, int], _SkeletonCache] = {}
+
+    def transfer_options(self, shift: int) -> list[list[tuple]]:
+        """Per arrival state, the legs a search can take next, for keys with
+        the bound at `shift`.  State s < len(stops) is the first leg from stop
+        s; (line, alight position) pairs follow in line order.  An option is
+        (board stop bit, static cost added, bound added, key low bits, hops),
+        in search order; the bound adds the least wait (see the module
+        docstring).  A hop is (alight stop bit, alight stop, ride seconds, key
+        part, node legs added, next state)."""
+        if shift in self.options:
+            return self.options[shift]
+        _, apos_at, pos_at, line_at, _ = self.key_offsets
+        boardings: list[list[tuple[int, int]]] = [[] for _ in self.walk]
+        for li, stops in enumerate(self.line_stops):
+            for pos, si in enumerate(stops[:-1]):
+                boardings[si].append((li, pos))
+        # the state of (li, apos) is base[li] + apos
+        base = list(accumulate((len(s) - 1 for s in self.line_stops), initial=len(self.walk) - 1))
+
+        @cache  # options boarding one line at one position after one walk share their hops
+        def hops(li: int, pos: int, walk_s: int) -> tuple:
+            stops, legs = self.line_stops[li], self.legs[li][pos]
+            return tuple((1 << stops[a], stops[a], legs[a][3], legs[a][3] << shift | a << apos_at,
+                          (li, pos, a, walk_s), base[li] + a) for a in range(pos + 1, len(stops)))
+
+        def at(nbrs, prev_line: int, headway: int, arrive: int, transfer_s: int) -> list[tuple]:
+            out = []
+            for nb, walk_s in nbrs:
+                for li, pos in boardings[nb]:
+                    if li != prev_line:
+                        gcd = math.gcd(headway, self.headways[li])
+                        wait_s = (self.phase[li][pos] - arrive - walk_s) % gcd
+                        out.append((1 << nb, walk_s + transfer_s, walk_s + transfer_s + wait_s,
+                                    li << line_at | pos << pos_at | walk_s, hops(li, pos, walk_s)))
+            return out
+
+        # a first leg waits for no earlier line: a headway of 1 bounds no wait
+        options = [at(((origin, 0),), -1, 1, 0, 0) for origin in range(len(self.walk))]
+        options += [at(self.walk[stops[apos]], li, self.headways[li], self.phase[li][apos],
+                       self.transfer_penalty_s)
+                    for li, stops in enumerate(self.line_stops) for apos in range(1, len(stops))]
+        self.options[shift] = options
+        return options
 
 
 @dataclass
@@ -215,54 +250,40 @@ def _search_origin(
     Static cost decides the ceiling cut; the bound in a key's high bits adds
     each transfer's least wait (see the module docstring).
     """
-    penalty = index.transfer_penalty_s
-    phase = index.phase
-    _, apos_at, pos_at, line_at, node_at = index.key_offsets
+    node_at = index.key_offsets[-1]
     shift = node_at + (max_legs - 1) * index.node_bits  # < n_legs ** (max_legs - 1) nodes
-    # each hop also carries its key part: ride_s added to the bound, alight_pos
-    boardings = [[(li, pos, [(a, s, r, r << shift | a << apos_at) for a, s, r in hops])
-                  for li, pos, hops in b] for b in index.boardings]
-    by_dest: list[list[int]] = [[] for _ in index.stops]
+    options = index.transfer_options(shift)
+    by_dest: list[list[int]] = [[] for _ in index.walk]
     nodes: list[tuple[int, ...]] = [()]
     exhausted = -1  # bit d set: nothing on the way to d was cut
-    # (static cost, bound, current stop, node of the path, boarded mask, alighted mask)
+    # (static cost, bound, arrival state, node of the path, boarded mask, alighted mask)
     stack: list = [(0, 0, origin, 0, 0, 0)]
     while stack:
-        cost, bound, at, node, boarded, alighted = stack.pop()
+        cost, bound, state, node, boarded, alighted = stack.pop()
         legs = nodes[node]
         extend = len(legs) < 4 * max_legs - 4
-        if legs:
-            prev_line, transfer_s, nbrs = legs[-4], penalty, index.walk[at]
-            arrive = phase[prev_line][legs[-2]]
-        else:
-            prev_line, transfer_s, nbrs, arrive = -1, 0, ((origin, 0),), 0
-        gcds = index.wait_gcd[prev_line]
-        for nb, walk_s in nbrs:
-            if boarded >> nb & 1:
+        node_key = node << node_at
+        for board_bit, cost_add, bound_add, low, hops in options[state]:
+            if boarded & board_bit:
                 continue
-            base = cost + walk_s + transfer_s
-            bound_base = bound + walk_s + transfer_s
-            ready = arrive + walk_s
-            now_boarded = boarded | (1 << nb)
-            for li, pos, hops in boardings[nb]:
-                if li == prev_line:
+            base = cost + cost_add
+            wait_base = bound + bound_add
+            key = wait_base << shift | node_key | low
+            now_boarded = boarded | board_bit
+            for alight_bit, alight, ride_s, hop_key, leg, next_state in hops:
+                if now_boarded & alight_bit:
                     continue
-                wait_base = bound_base + (phase[li][pos] - ready) % gcds[li]
-                key = wait_base << shift | node << node_at | li << line_at | pos << pos_at | walk_s
-                for apos, alight, ride_s, hop_key in hops:
-                    if now_boarded >> alight & 1:
-                        continue
-                    new_cost = base + ride_s
-                    if new_cost > ceiling:
-                        # later alight positions only cost more
-                        exhausted &= now_boarded | alighted
-                        break
-                    if not alighted >> alight & 1:
-                        by_dest[alight].append(key + hop_key)
-                    if extend:
-                        stack.append((new_cost, wait_base + ride_s, alight, len(nodes),
-                                      now_boarded, alighted | (1 << alight)))
-                        nodes.append(legs + (li, pos, apos, walk_s))
+                new_cost = base + ride_s
+                if new_cost > ceiling:
+                    # later alight positions only cost more
+                    exhausted &= now_boarded | alighted
+                    break
+                if not alighted & alight_bit:
+                    by_dest[alight].append(key + hop_key)
+                if extend:
+                    stack.append((new_cost, wait_base + ride_s, next_state, len(nodes),
+                                  now_boarded, alighted | alight_bit))
+                    nodes.append(legs + leg)
     for keys in by_dest:
         keys.sort()
     return _SkeletonCache(ceiling, by_dest, exhausted, nodes, shift)
@@ -274,32 +295,27 @@ def _realize(index: _NetworkIndex, skeleton: tuple[int, ...], depart_time: int) 
     departure of its line."""
     times: list[int] = []
     t = depart_time
+    legs = index.legs
     for i in range(1, len(skeleton), 4):
-        li, pos, apos, walk_s = skeleton[i : i + 4]
-        line = index.lines[li]
-        rp = index.ride_prefix[li]
-        offset = rp[pos]
-        first = line.first_dep_s + offset
-        t += walk_s
+        first, last, headway, ride_s, _, _ = legs[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]]
+        t += skeleton[i + 3]
         if t <= first:
             dep = first
         else:
-            dep = first + (t - first + line.headway_s - 1) // line.headway_s * line.headway_s
-            if dep - offset > line.last_dep_s:
+            dep = first + (t - first + headway - 1) // headway * headway
+            if dep > last:
                 return None
-        t = dep + rp[apos] - offset
+        t = dep + ride_s
         times += (dep, t)
     return times
 
 
-def _route(index: _NetworkIndex, skeleton: tuple[int, ...], times: list[int]) -> Route:
+def _route(net: TransitNetwork, skeleton: tuple[int, ...], times: list[int]) -> Route:
     legs = []
+    records = net._index.legs
     for i in range(1, len(skeleton), 4):
-        li, pos, apos = skeleton[i : i + 3]
-        stops, dp = index.line_stops[li], index.dist_prefix[li]
-        legs.append(Leg(board_stop=index.stops[stops[pos]], alight_stop=index.stops[stops[apos]],
-                        board_time=times[i // 2], alight_time=times[i // 2 + 1],
-                        line_id=index.lines[li].line_id, leg_distance=dp[apos] - dp[pos]))
+        board, alight, line_id, distance = records[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]][5]
+        legs.append(Leg(board, alight, times[i // 2], times[i // 2 + 1], line_id, distance))
     return Route(legs=tuple(legs))
 
 
@@ -319,6 +335,13 @@ def k_top_routes(
     Returns [] for round-trip demand (origin == destination) and for
     unreachable destinations; raises PlannerError on unknown stops.
     """
+    return [_route(net, skeleton, times) for skeleton, times in _ranked(net, triple, k, max_legs)]
+
+
+def _ranked(
+    net: TransitNetwork, triple: ODTriple, k: int, max_legs: int = DEFAULT_MAX_LEGS
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(skeleton, times) of the routes `k_top_routes` returns, in rank order."""
     if k < 1:
         raise PlannerError("k must be at least 1")
     if max_legs < 1:
@@ -332,8 +355,11 @@ def k_top_routes(
     if o == d:
         return []
 
-    penalty = net.transfer_penalty_s
-    leg_ids = index.leg_ids
+    penalty = index.transfer_penalty_s
+    legs = index.legs
+    depart_time = triple.depart_time
+    _, apos_at, pos_at, line_at, node_at = offsets = index.key_offsets
+    walk_mask, pos_mask, _, line_mask = [(1 << hi - lo) - 1 for lo, hi in zip(offsets, offsets[1:])]
     cache_key = (o, max_legs)
     cache = index.skeletons.get(cache_key)
     ceiling = 2700 + 2 * penalty
@@ -349,29 +375,33 @@ def k_top_routes(
         # by (cost, legs, identity).  Realized cost >= bound, so once the
         # k-th best realized cost drops strictly below the next bound no
         # later skeleton can enter the top k (ties are still scanned so the
-        # ordering stays exact).  The cost is the double generalized_cost
-        # gives; the identity is Route.identity as a list.
+        # ordering stays exact); a skeleton costing more than the k-th is
+        # never returned and is dropped unranked.  The cost is the double
+        # generalized_cost gives; the identity is Route.identity as a list.
+        shift, nodes = cache.shift, cache.nodes
+        node_mask = (1 << shift - node_at) - 1
         realized: list[tuple[float, int, list, tuple[int, ...], list[int]]] = []
-        at = (*index.key_offsets, cache.shift)
-        fields = [(lo, (1 << hi - lo) - 1) for lo, hi in zip(at, at[1:])]  # (offset, mask)
+        kth = math.inf  # the k-th realized cost, once there are k
         for key in cache.by_dest[d]:
-            if len(realized) >= k and realized[k - 1][0] < key >> cache.shift:
+            bound = key >> shift
+            if kth < bound:
                 break
-            walk_s, apos, pos, li, node = [key >> lo & mask for lo, mask in fields]
-            skeleton = (key >> cache.shift, *cache.nodes[node], li, pos, apos, walk_s)
-            times = _realize(index, skeleton, triple.depart_time)
+            skeleton = (bound, *nodes[key >> node_at & node_mask], key >> line_at & line_mask,
+                        key >> pos_at & pos_mask, key >> apos_at & pos_mask, key & walk_mask)
+            times = _realize(index, skeleton, depart_time)
             if times is None:
                 continue
             n_legs = len(times) // 2
             cost = float(times[-1] - times[0]) + penalty * (n_legs - 1)
-            identity = [
-                leg_ids[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]]
-                for i in range(1, len(skeleton), 4)
-            ]
+            if cost > kth:
+                continue
+            identity = [legs[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]][4]
+                        for i in range(1, len(skeleton), 4)]
             bisect.insort(realized, (cost, n_legs, identity, skeleton, times), key=_RANK)
+            if len(realized) >= k:
+                kth = realized[k - 1][0]
 
         # A skeleton the ceiling left out costs more than the ceiling.
-        done = len(realized) >= k and realized[k - 1][0] <= cache.ceiling
-        if done or cache.exhausted >> d & 1 or ceiling >= _CEILING_CAP_S:
-            return [_route(index, r[3], r[4]) for r in realized[:k]]
+        if kth <= cache.ceiling or cache.exhausted >> d & 1 or ceiling >= _CEILING_CAP_S:
+            return [(r[3], r[4]) for r in realized[:k]]
         ceiling = min(_CEILING_CAP_S, ceiling * 2)

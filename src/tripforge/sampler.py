@@ -210,8 +210,9 @@ class _ProposalStream:
 
         With m > 1 the rounds alternately split a fresh word and take the
         high half the round before left, so their words sit at known offsets.
-        At Lemire's first rejection the rounds before it are kept and that
-        round is drawn by the calls themselves.
+        A vectorized pass keeps the rounds before Lemire's first rejection;
+        the calls themselves then draw windows of 1, 2, ..., 32 rounds, and
+        passes resume at 64 rounds, doubling while clean.
         """
         if not 1 <= m <= 1 << 32:
             raise ValueError(f"m must lie in [1, 2**32], got {m}")
@@ -222,27 +223,31 @@ class _ProposalStream:
             parts.append((np.zeros(count, np.uint64), words[0::2], words[1::2]))
             count = 0
         threshold = ((1 << 32) - m) % m
+        window = max(count, 64)  # rounds in the next pass; 1 after a rejection
         while count:
-            saved = int(self._high is not None)
-            r = np.arange(count + 1)
-            fresh = (r + saved) % 2 == 0  # the rounds that split a fresh word
-            start = 2 * r + (r + 1 - saved) // 2  # the words read before each round
-            words = self._words(int(start[count]))
-            split = words[start[:count][fresh[:count]]]
-            halves = np.empty(2 * len(split) + saved, np.uint64)  # the 32-bit draws
-            halves[:saved] = self._high or 0  # the saved high half, if any
-            halves[saved::2], halves[saved + 1::2] = split & 0xFFFFFFFF, split >> 32
-            products = halves[:count] * np.uint64(m)  # below 2**64
-            rejected = np.flatnonzero(products & 0xFFFFFFFF < threshold)
-            k = int(rejected[0]) if len(rejected) else count
-            first = start[:k] + fresh[:k]
-            parts.append((products[:k] >> 32, words[first], words[first + 1]))
-            self._pos += int(start[k])
-            self._high = None if fresh[k] else halves.item(k)
-            if k < count:  # round k is rejected at least once: draw it one call at a time
-                parts.append(np.array([[self.integers(0, m)], [self._word()], [self._word()]],
-                                      np.uint64))
-                k += 1
+            n = min(count, window)
+            if window < 64:
+                rounds = [(self.integers(0, m), self._word(), self._word()) for _ in range(n)]
+                parts.append(np.array(rounds, np.uint64).T)
+                k, window = n, 2 * window
+            else:
+                saved = int(self._high is not None)
+                r = np.arange(n + 1)
+                fresh = (r + saved) % 2 == 0  # the rounds that split a fresh word
+                start = 2 * r + (r + 1 - saved) // 2  # the words read before each round
+                words = self._words(int(start[n]))
+                split = words[start[:n][fresh[:n]]]
+                halves = np.empty(2 * len(split) + saved, np.uint64)  # the 32-bit draws
+                halves[:saved] = self._high or 0  # the saved high half, if any
+                halves[saved::2], halves[saved + 1::2] = split & 0xFFFFFFFF, split >> 32
+                products = halves[:n] * np.uint64(m)  # below 2**64
+                rejected = np.flatnonzero(products & 0xFFFFFFFF < threshold)
+                k = int(rejected[0]) if len(rejected) else n
+                first = start[:k] + fresh[:k]
+                parts.append((products[:k] >> 32, words[first], words[first + 1]))
+                self._pos += int(start[k])
+                self._high = None if fresh[k] else halves.item(k)
+                window = 1 if k < n else 2 * window
             count -= k
         picks, firsts, seconds = map(np.concatenate, zip(*parts))
         return picks.astype(np.int64), (firsts >> 11) * 2.0**-53, (seconds >> 11) * 2.0**-53

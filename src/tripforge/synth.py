@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import DAY_TYPES, WEEKEND, WORKING, Leg, ODTriple, Route, Stop, great_circle_m
-from .planner import Line, TransitNetwork, k_top_routes
+from .planner import Line, TransitNetwork, _ranked, _route, k_top_routes
 
 
 class SynthError(RuntimeError):
@@ -279,6 +279,13 @@ def _round_trip_route(
     return Route(legs=tuple(legs))
 
 
+def _detour_cdf(decay: float, ranks: int) -> np.ndarray:
+    """The cdf `rng.choice(ranks, p=w / w.sum())` searches, for w_r = decay**r."""
+    w = np.array([decay**r for r in range(ranks)])
+    cdf = (w / w.sum()).cumsum()
+    return cdf / cdf[-1]
+
+
 def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route], str]:
     """Demand triples and their observed routes for one day.
 
@@ -297,19 +304,21 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
     profile = cfg.profile.flattened() if weekend else cfg.profile
     p_round = min(cfg.p_round * (cfg.weekend_round_factor if weekend else 1.0), 1.0 - cfg.p_detour)
     dwell_factor = cfg.weekend_dwell_factor if weekend else 1.0
+    detour_cdfs = [_detour_cdf(cfg.detour_rank_decay, ranks)
+                   for ranks in range(1, cfg.planner_k)]
 
     triples: list[ODTriple] = []
     routes: list[Route] = []
     for i in range(n_trips):
-        planner_routes = None
+        top = None  # ranked, not built: a trip builds only the route it keeps
         for attempt in range(100):
             o, d = pool[int(rng.integers(0, len(pool)))]
             t = profile.draw(rng)
             probe = ODTriple(origin=o, destination=d, depart_time=t, demand_id="probe")
-            planner_routes = k_top_routes(cfg.network, probe, k=1)
-            if planner_routes:
+            top = _ranked(cfg.network, probe, 1)
+            if top:
                 break
-        if not planner_routes:
+        if not top:
             raise SynthError(f"day {day}: no reachable OD pair after 100 resamples")
 
         demand_id = f"d{day:03d}t{i:05d}"
@@ -325,21 +334,21 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
                     round_trip_allowed=True,
                 )
             )
-            routes.append(_round_trip_route(planner_routes[0], dwell, reverse_of))
+            routes.append(_round_trip_route(_route(cfg.network, *top[0]), dwell, reverse_of))
             continue
 
         triples.append(ODTriple(origin=o, destination=d, depart_time=t, demand_id=demand_id))
         if u < p_round + cfg.p_detour:
             # Only a detour looks past the top route.  The ranking is exact
             # for every k, so the first route stays the one drawn above.
-            planner_routes = k_top_routes(cfg.network, probe, k=cfg.planner_k)
-        if len(planner_routes) >= 2:
-            ranks = len(planner_routes) - 1
-            w = np.array([cfg.detour_rank_decay**r for r in range(ranks)])
-            pick = 1 + int(rng.choice(ranks, p=w / w.sum()))
-            routes.append(_inject_dwell(planner_routes[pick], rng, cfg.dwell_mean_s * dwell_factor))
-        else:
-            routes.append(planner_routes[0])
+            ranked = _ranked(cfg.network, probe, cfg.planner_k)
+            if len(ranked) >= 2:
+                cdf = detour_cdfs[len(ranked) - 2]
+                pick = 1 + int(cdf.searchsorted(rng.random(), side="right"))
+                route = _route(cfg.network, *ranked[pick])
+                routes.append(_inject_dwell(route, rng, cfg.dwell_mean_s * dwell_factor))
+                continue
+        routes.append(_route(cfg.network, *top[0]))
     return triples, routes, day_type
 
 

@@ -595,6 +595,7 @@ class TestCmdEval:
         lambda row: row[:2] + [""] + row[3:],  # an empty demand id
         lambda row: row[:3] + [""] + row[4:],  # an empty line id
         lambda row: row[:3] + ["L\t1"] + row[4:],  # a line id holding a tab
+        lambda row: row[:3] + ["nope"] + row[4:],  # a line the network does not have
     ])
     def test_bad_trip_record_exits_2(self, tmp_path, generated_inputs, capsys, edit):
         trips = generated_inputs["root"] / "day_000_working.trips"

@@ -128,6 +128,25 @@ class TestKTopRoutes:
                           depart_time=23 * 3600, demand_id="late")
         assert k_top_routes(two_line_net, triple, k=2) == []
 
+    def test_pinned_warm_query_legs(self):
+        # sha256 of every leg 3 000 queries return at k=1 and k=5: line,
+        # stops, board and alight times and the leg distance's repr.
+        net = build_grid_network(rows=5, cols=6, seed=0)
+        rng = np.random.default_rng(17)
+        h = hashlib.sha256()
+        for i in range(3_000):
+            o, d = rng.choice(len(net.stops), size=2, replace=False)
+            triple = ODTriple(origin=net.stops[o], destination=net.stops[d],
+                              depart_time=int(rng.integers(6 * 3600, 22 * 3600)),
+                              demand_id=f"q{i}")
+            for k in (1, 5):
+                for rank, route in enumerate(k_top_routes(net, triple, k=k)):
+                    for leg in route.legs:
+                        row = [i, k, rank, leg.line_id, leg.board_stop.stop_id, leg.board_time,
+                               leg.alight_stop.stop_id, leg.alight_time, repr(leg.leg_distance)]
+                        h.update((",".join(map(str, row)) + "\n").encode())
+        assert h.hexdigest() == "1acecc632b3ea11d7192ffb8db14476b84cf5b2ee19164a40be6e3bcc621f8e6"
+
     def test_queried_network_can_be_freed(self, two_line_net):
         net = TransitNetwork(stops=two_line_net.stops, lines=two_line_net.lines)
         triple = ODTriple(origin=net.stops[0], destination=net.stops[1],

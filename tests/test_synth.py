@@ -17,7 +17,7 @@ from tripforge import (
     transfer_time,
     validate_route,
 )
-from tripforge import synth
+from tripforge import planner, synth
 from tripforge.synth import WEEKEND, WORKING
 
 from oracles import transfer_walk_problems
@@ -78,6 +78,21 @@ class RecordingGenerator(np.random.Generator):
         return value
 
 
+class TestDetourDraw:
+    @pytest.mark.parametrize("decay", [0.0, 0.5, 0.6, 1.0])
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
+    def test_cdf_draw_equals_choice(self, ranks, decay):
+        # A detour draws its rank from a cached cdf; rng.choice with the
+        # weights must give the same index from the same generator position.
+        cdf = synth._detour_cdf(decay, ranks)
+        w = np.array([decay**r for r in range(ranks)])
+        ours, choice = np.random.default_rng(29), np.random.default_rng(29)
+        for _ in range(2_000):
+            assert (int(cdf.searchsorted(ours.random(), side="right"))
+                    == int(choice.choice(ranks, p=w / w.sum())))
+        assert ours.bit_generator.state == choice.bit_generator.state
+
+
 class TestGenerateDay:
     # sha256 of every trip of a working and a weekend day: demand, legs and
     # times, taken when every trip asked the planner for planner_k routes.
@@ -101,20 +116,36 @@ class TestGenerateDay:
 
     @pytest.fixture
     def planner_log(self, monkeypatch):
-        """(k, routes found) per planner call and ("u", value) per
-        rng.random() draw of generate_day, in call order."""
+        """(k, routes found) per planner call or ranked pass, and ("u",
+        value) per rng.random() draw of generate_day, in call order."""
         events = []
-        plan = synth.k_top_routes
 
-        def logged_plan(net, triple, k=5):
-            routes = plan(net, triple, k=k)
-            events.append((k, len(routes)))
-            return routes
+        def logged(plan):
+            def logged_plan(net, triple, k=5):
+                routes = plan(net, triple, k)
+                events.append((k, len(routes)))
+                return routes
+            return logged_plan
 
-        monkeypatch.setattr(synth, "k_top_routes", logged_plan)
+        monkeypatch.setattr(synth, "k_top_routes", logged(synth.k_top_routes))
+        monkeypatch.setattr(synth, "_ranked", logged(synth._ranked))
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: RecordingGenerator(np.random.PCG64(seed), events))
         return events
+
+    @pytest.fixture
+    def built_routes(self, monkeypatch):
+        """Every Route the planner builds, from synth or k_top_routes."""
+        built = []
+        build = planner._route
+
+        def counting(net, skeleton, times):
+            built.append(build(net, skeleton, times))
+            return built[-1]
+
+        monkeypatch.setattr(planner, "_route", counting)
+        monkeypatch.setattr(synth, "_route", counting)
+        return built
 
     def test_no_detour_asks_only_for_the_top_route(self, small_net, planner_log):
         cfg = small_cfg(small_net, p_detour=0.0)
@@ -122,11 +153,13 @@ class TestGenerateDay:
         calls = [k for k, _ in planner_log if k != "u"]
         assert calls and set(calls) == {1}
 
-    def test_only_a_detour_asks_for_planner_k_routes(self, small_net, planner_log):
+    def test_only_a_detour_asks_for_planner_k_routes(self, small_net, planner_log,
+                                                     built_routes):
         cfg = small_cfg(small_net)
         assert cfg._od_pool  # its probes are not trips
         planner_log.clear()
-        generate_day(cfg, 0)
+        built_routes.clear()
+        _, routes, _ = generate_day(cfg, 0)
         # The first draw after a trip finds its top route is the u that picks
         # round trip, detour or top route; a detour asks the planner next.
         detours, wide, after_top = [], [], False
@@ -142,6 +175,8 @@ class TestGenerateDay:
                 wide.append(at)
         assert len(detours) > 100
         assert wide == detours
+        # a trip builds only the route it keeps
+        assert len(built_routes) == len(routes)
 
     def test_deterministic_per_seed_and_day(self, small_net):
         cfg = small_cfg(small_net)
