@@ -16,9 +16,9 @@ phase_B - phase_A - walk modulo gcd(h_A, h_B), and being non-negative it is
 at least that residue.  Service windows only remove departures, so the sum
 stays a lower bound (the A* admissibility argument of Hart, Nilsson and
 Raphael, 1968).  Realization stops as soon as no unseen skeleton can beat the
-k-th realized route: the returned ranking is exact within the leg cap.
-Transfer options and leg records are tabled once per network, and a caller
-keeping one route builds one Route.
+k-th realized route, so the returned ranking is exact; the only limit on the
+route space is the cap of MAX_LEGS legs.  Transfer options and leg records
+are tabled once per network, and a caller keeping one route builds one Route.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from operator import itemgetter
 from .metrics import full_trip_time
 from .model import Leg, ODTriple, Route, Stop, great_circle_m
 
-DEFAULT_MAX_LEGS = 3
-_CEILING_CAP_S = 2 * 86_400
+MAX_LEGS = 3
 _RANK = itemgetter(0, 1, 2)  # (cost, legs, identity) of a realized skeleton
 
 
@@ -158,25 +157,27 @@ class _NetworkIndex:
                     nbrs.append((j, int(math.ceil(d / walk_speed))))
             self.walk.append(nbrs)
 
-        # skeleton key fields, low to high: walk_s, alight_pos, board_pos, line, node
+        # skeleton key fields, low to high: walk_s, alight_pos, board_pos, line,
+        # node, then the bound at `shift`; a node is a path of fewer than
+        # MAX_LEGS legs, so there are fewer than n_legs ** (MAX_LEGS - 1) nodes
         w = max((s for nbrs in self.walk for _, s in nbrs), default=0).bit_length()
         p = max((len(s) - 1 for s in self.line_stops), default=0).bit_length()
         self.key_offsets = (0, w, w + p, w + 2 * p, w + 2 * p + (len(net.lines) - 1).bit_length())
-        self.node_bits = sum(len(s) * (len(s) - 1) // 2 for s in self.line_stops).bit_length()
+        node_bits = sum(len(s) * (len(s) - 1) // 2 for s in self.line_stops).bit_length()
+        self.shift = self.key_offsets[-1] + (MAX_LEGS - 1) * node_bits
 
-        self.options: dict[int, list[list[tuple]]] = {}  # transfer options per key shift
-        self.skeletons: dict[tuple[int, int], _SkeletonCache] = {}
+        self.options = self._transfer_options()
+        self.skeletons: dict[int, _SkeletonCache] = {}  # by origin
 
-    def transfer_options(self, shift: int) -> list[list[tuple]]:
-        """Per arrival state, the legs a search can take next, for keys with
-        the bound at `shift`.  State s < len(stops) is the first leg from stop
-        s; (line, alight position) pairs follow in line order.  An option is
-        (board stop bit, static cost added, bound added, key low bits, hops),
-        in search order; the bound adds the least wait (see the module
-        docstring).  A hop is (alight stop bit, alight stop, ride seconds, key
-        part, node legs added, next state)."""
-        if shift in self.options:
-            return self.options[shift]
+    def _transfer_options(self) -> list[list[tuple]]:
+        """Per arrival state, the legs a search can take next.  State s <
+        len(stops) is the first leg from stop s; (line, alight position) pairs
+        follow in line order.  An option is (board stop bit, bound added, key
+        low bits, hops), in search order; the bound adds the walk, the
+        transfer penalty and the least wait (see the module docstring).  A hop
+        is (alight stop bit, alight stop, ride seconds, key part, node legs
+        added, next state)."""
+        shift = self.shift
         _, apos_at, pos_at, line_at, _ = self.key_offsets
         boardings: list[list[tuple[int, int]]] = [[] for _ in self.walk]
         for li, stops in enumerate(self.line_stops):
@@ -198,7 +199,7 @@ class _NetworkIndex:
                     if li != prev_line:
                         gcd = math.gcd(headway, self.headways[li])
                         wait_s = (self.phase[li][pos] - arrive - walk_s) % gcd
-                        out.append((1 << nb, walk_s + transfer_s, walk_s + transfer_s + wait_s,
+                        out.append((1 << nb, walk_s + transfer_s + wait_s,
                                     li << line_at | pos << pos_at | walk_s, hops(li, pos, walk_s)))
             return out
 
@@ -207,86 +208,65 @@ class _NetworkIndex:
         options += [at(self.walk[stops[apos]], li, self.headways[li], self.phase[li][apos],
                        self.transfer_penalty_s)
                     for li, stops in enumerate(self.line_stops) for apos in range(1, len(stops))]
-        self.options[shift] = options
         return options
 
 
 @dataclass
 class _SkeletonCache:
-    """The skeletons from one origin with static cost <= ceiling.
+    """Every skeleton from one origin of at most MAX_LEGS legs.
 
     A skeleton is a flat int tuple (bound, line, board_pos, alight_pos,
     walk_s, line, ...), walk_s being the walk to the leg's board stop and
     bound the wait-aware lower bound on its realized generalized cost (see
     the module docstring).  by_dest[d] files those ending at stop d as sorted
-    int keys, so in bound order: bound << shift over the node (an index into
-    nodes, which holds the flat legs before the last) and the last leg, at
-    _NetworkIndex.key_offsets.  The ceiling is on static cost, at most the
-    bound, so a skeleton it leaves out has a bound above the ceiling too.
-    Bit d of `exhausted` is set when the ceiling cut nothing on the way to d,
-    so by_dest[d] is all of d's skeletons.
+    int keys, so in bound order: bound << _NetworkIndex.shift over the node
+    (an index into nodes, which holds the flat legs before the last) and the
+    last leg, at _NetworkIndex.key_offsets.
     """
 
-    ceiling: int
     by_dest: list[list[int]]
-    exhausted: int
     nodes: list[tuple[int, ...]]
-    shift: int
 
 
-def _search_origin(
-    index: _NetworkIndex, origin: int, ceiling: int, max_legs: int
-) -> _SkeletonCache:
+def _search_origin(index: _NetworkIndex, origin: int) -> _SkeletonCache:
     """One depth-first search for the skeletons from `origin` to every stop.
 
     Board stops are unique within a skeleton, consecutive legs use different
     lines, the first leg boards exactly at the origin, and no leg alights at
     a stop boarded before (so none boards at its destination).  A path is a
     skeleton of its last alighting stop unless an earlier leg alighted there:
-    a route ends at its destination.  A cut extension would have been
-    explored for every destination its path neither boarded nor alighted at,
-    bar its board stop, so those lose their exhausted bit.
-
-    Static cost decides the ceiling cut; the bound in a key's high bits adds
-    each transfer's least wait (see the module docstring).
+    a route ends at its destination.
     """
     node_at = index.key_offsets[-1]
-    shift = node_at + (max_legs - 1) * index.node_bits  # < n_legs ** (max_legs - 1) nodes
-    options = index.transfer_options(shift)
+    shift = index.shift
+    options = index.options
     by_dest: list[list[int]] = [[] for _ in index.walk]
     nodes: list[tuple[int, ...]] = [()]
-    exhausted = -1  # bit d set: nothing on the way to d was cut
-    # (static cost, bound, arrival state, node of the path, boarded mask, alighted mask)
-    stack: list = [(0, 0, origin, 0, 0, 0)]
+    # (bound, arrival state, node of the path, boarded mask, alighted mask)
+    stack: list = [(0, origin, 0, 0, 0)]
     while stack:
-        cost, bound, state, node, boarded, alighted = stack.pop()
+        bound, state, node, boarded, alighted = stack.pop()
         legs = nodes[node]
-        extend = len(legs) < 4 * max_legs - 4
+        extend = len(legs) < 4 * MAX_LEGS - 4
         node_key = node << node_at
-        for board_bit, cost_add, bound_add, low, hops in options[state]:
+        for board_bit, bound_add, low, hops in options[state]:
             if boarded & board_bit:
                 continue
-            base = cost + cost_add
-            wait_base = bound + bound_add
-            key = wait_base << shift | node_key | low
+            base = bound + bound_add
+            key = base << shift | node_key | low
             now_boarded = boarded | board_bit
             for alight_bit, alight, ride_s, hop_key, leg, next_state in hops:
                 if now_boarded & alight_bit:
                     continue
-                new_cost = base + ride_s
-                if new_cost > ceiling:
-                    # later alight positions only cost more
-                    exhausted &= now_boarded | alighted
-                    break
                 if not alighted & alight_bit:
                     by_dest[alight].append(key + hop_key)
                 if extend:
-                    stack.append((new_cost, wait_base + ride_s, next_state, len(nodes),
+                    stack.append((base + ride_s, next_state, len(nodes),
                                   now_boarded, alighted | alight_bit))
                     nodes.append(legs + leg)
     for keys in by_dest:
         keys.sort()
-    return _SkeletonCache(ceiling, by_dest, exhausted, nodes, shift)
+    return _SkeletonCache(by_dest, nodes)
 
 
 def _realize(index: _NetworkIndex, skeleton: tuple[int, ...], depart_time: int) -> list[int] | None:
@@ -324,28 +304,22 @@ def generalized_cost(route: Route, transfer_penalty_s: int) -> float:
     return full_trip_time(route) + transfer_penalty_s * (len(route.legs) - 1)
 
 
-def k_top_routes(
-    net: TransitNetwork,
-    triple: ODTriple,
-    k: int = 5,
-    max_legs: int = DEFAULT_MAX_LEGS,
-) -> list[Route]:
-    """Up to k loopless routes for the demand, ranked by generalized cost.
+def k_top_routes(net: TransitNetwork, triple: ODTriple, k: int = 5) -> list[Route]:
+    """Up to k loopless routes of at most MAX_LEGS legs for the demand,
+    ranked by generalized cost.
 
     Returns [] for round-trip demand (origin == destination) and for
     unreachable destinations; raises PlannerError on unknown stops.
     """
-    return [_route(net, skeleton, times) for skeleton, times in _ranked(net, triple, k, max_legs)]
+    return [_route(net, skeleton, times) for skeleton, times in _ranked(net, triple, k)]
 
 
 def _ranked(
-    net: TransitNetwork, triple: ODTriple, k: int, max_legs: int = DEFAULT_MAX_LEGS
+    net: TransitNetwork, triple: ODTriple, k: int
 ) -> list[tuple[tuple[int, ...], list[int]]]:
     """(skeleton, times) of the routes `k_top_routes` returns, in rank order."""
     if k < 1:
         raise PlannerError("k must be at least 1")
-    if max_legs < 1:
-        raise PlannerError("max_legs must be at least 1")
     index = net._index
     try:
         o = index.pos[triple.origin.stop_id]
@@ -354,54 +328,42 @@ def _ranked(
         raise PlannerError(f"unknown stop {exc.args[0]!r}") from None
     if o == d:
         return []
+    cache = index.skeletons.get(o)
+    if cache is None:
+        cache = index.skeletons[o] = _search_origin(index, o)
 
+    # Realize skeletons in bound order, keeping the realized ones sorted by
+    # (cost, legs, identity).  Realized cost >= bound, so once the k-th best
+    # realized cost drops strictly below the next bound no later skeleton can
+    # enter the top k (ties are still scanned so the ordering stays exact); a
+    # skeleton costing more than the k-th is never returned and is dropped
+    # unranked.  The cost is the double generalized_cost gives; the identity
+    # is Route.identity as a list.
     penalty = index.transfer_penalty_s
     legs = index.legs
     depart_time = triple.depart_time
+    shift, nodes = index.shift, cache.nodes
     _, apos_at, pos_at, line_at, node_at = offsets = index.key_offsets
     walk_mask, pos_mask, _, line_mask = [(1 << hi - lo) - 1 for lo, hi in zip(offsets, offsets[1:])]
-    cache_key = (o, max_legs)
-    cache = index.skeletons.get(cache_key)
-    ceiling = 2700 + 2 * penalty
-    if cache is not None:
-        ceiling = max(ceiling, cache.ceiling)
-
-    while True:
-        if cache is None or (cache.ceiling < ceiling and not cache.exhausted >> d & 1):
-            cache = _search_origin(index, o, ceiling, max_legs)
-            index.skeletons[cache_key] = cache
-
-        # Realize skeletons in bound order, keeping the realized ones sorted
-        # by (cost, legs, identity).  Realized cost >= bound, so once the
-        # k-th best realized cost drops strictly below the next bound no
-        # later skeleton can enter the top k (ties are still scanned so the
-        # ordering stays exact); a skeleton costing more than the k-th is
-        # never returned and is dropped unranked.  The cost is the double
-        # generalized_cost gives; the identity is Route.identity as a list.
-        shift, nodes = cache.shift, cache.nodes
-        node_mask = (1 << shift - node_at) - 1
-        realized: list[tuple[float, int, list, tuple[int, ...], list[int]]] = []
-        kth = math.inf  # the k-th realized cost, once there are k
-        for key in cache.by_dest[d]:
-            bound = key >> shift
-            if kth < bound:
-                break
-            skeleton = (bound, *nodes[key >> node_at & node_mask], key >> line_at & line_mask,
-                        key >> pos_at & pos_mask, key >> apos_at & pos_mask, key & walk_mask)
-            times = _realize(index, skeleton, depart_time)
-            if times is None:
-                continue
-            n_legs = len(times) // 2
-            cost = float(times[-1] - times[0]) + penalty * (n_legs - 1)
-            if cost > kth:
-                continue
-            identity = [legs[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]][4]
-                        for i in range(1, len(skeleton), 4)]
-            bisect.insort(realized, (cost, n_legs, identity, skeleton, times), key=_RANK)
-            if len(realized) >= k:
-                kth = realized[k - 1][0]
-
-        # A skeleton the ceiling left out costs more than the ceiling.
-        if kth <= cache.ceiling or cache.exhausted >> d & 1 or ceiling >= _CEILING_CAP_S:
-            return [(r[3], r[4]) for r in realized[:k]]
-        ceiling = min(_CEILING_CAP_S, ceiling * 2)
+    node_mask = (1 << shift - node_at) - 1
+    realized: list[tuple[float, int, list, tuple[int, ...], list[int]]] = []
+    kth = math.inf  # the k-th realized cost, once there are k
+    for key in cache.by_dest[d]:
+        bound = key >> shift
+        if kth < bound:
+            break
+        skeleton = (bound, *nodes[key >> node_at & node_mask], key >> line_at & line_mask,
+                    key >> pos_at & pos_mask, key >> apos_at & pos_mask, key & walk_mask)
+        times = _realize(index, skeleton, depart_time)
+        if times is None:
+            continue
+        n_legs = len(times) // 2
+        cost = float(times[-1] - times[0]) + penalty * (n_legs - 1)
+        if cost > kth:
+            continue
+        identity = [legs[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]][4]
+                    for i in range(1, len(skeleton), 4)]
+        bisect.insort(realized, (cost, n_legs, identity, skeleton, times), key=_RANK)
+        if len(realized) >= k:
+            kth = realized[k - 1][0]
+    return [(r[3], r[4]) for r in realized[:k]]

@@ -3,9 +3,10 @@
 Generates demand and "observed" routes for a configurable city: most trips
 follow the best planner route, a fraction detour onto slower alternatives
 with extra dwell at transfers, and a fraction are one-ticket round trips
-(out on the best route, back on its reverse after a stay).  Weekends get
-scaled demand, a flattened departure profile and stronger deviations, so the
-two day types genuinely differ in their trip characteristics.
+(out on the best route, back on its reverse after a stay; only where every
+line of the best route has a reverse line).  Weekends get scaled demand, a
+flattened departure profile and stronger deviations, so the two day types
+genuinely differ in their trip characteristics.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import DAY_TYPES, WEEKEND, WORKING, Leg, ODTriple, Route, Stop, great_circle_m
-from .planner import Line, TransitNetwork, _ranked, _route, k_top_routes
+from .planner import Line, TransitNetwork, _ranked, _route
 
 
 class SynthError(RuntimeError):
@@ -194,7 +195,7 @@ class SynthConfig:
         for idx in order:
             o, d = pairs[idx]
             probe = ODTriple(origin=o, destination=d, depart_time=probe_t, demand_id="probe")
-            if k_top_routes(self.network, probe, k=1):
+            if _ranked(self.network, probe, 1):
                 pool.append((o, d))
                 if len(pool) >= self.od_pool_size:
                     break
@@ -256,7 +257,8 @@ def _round_trip_route(
     outbound: Route, dwell_s: int, reverse_of: dict[str, str]
 ) -> Route:
     """Outbound legs followed by the mirrored return after a stay, reusing the
-    outbound ride times and transfer gaps."""
+    outbound ride times and transfer gaps; every outbound line needs a reverse
+    in `reverse_of`."""
     out = outbound.legs
     gaps = [out[i + 1].board_time - out[i].alight_time for i in range(len(out) - 1)]
     legs = list(out)
@@ -269,7 +271,7 @@ def _round_trip_route(
                 alight_stop=leg.board_stop,
                 board_time=t,
                 alight_time=t + ride,
-                line_id=reverse_of.get(leg.line_id, leg.line_id),
+                line_id=reverse_of[leg.line_id],
                 leg_distance=leg.leg_distance,
             )
         )
@@ -324,17 +326,16 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
         demand_id = f"d{day:03d}t{i:05d}"
         u = rng.random()
         if u < p_round:
-            dwell = 120 + int(rng.exponential(cfg.round_dwell_mean_s * dwell_factor))
-            triples.append(
-                ODTriple(
-                    origin=o,
-                    destination=o,
-                    depart_time=t,
-                    demand_id=demand_id,
-                    round_trip_allowed=True,
-                )
-            )
-            routes.append(_round_trip_route(_route(cfg.network, *top[0]), dwell, reverse_of))
+            # A round trip rides back on the reverse of each outbound line; a
+            # top route on a line without one stays a one-way trip.
+            route = _route(cfg.network, *top[0])
+            round_trip = all(leg.line_id in reverse_of for leg in route.legs)
+            if round_trip:
+                dwell = 120 + int(rng.exponential(cfg.round_dwell_mean_s * dwell_factor))
+                route = _round_trip_route(route, dwell, reverse_of)
+            triples.append(ODTriple(origin=o, destination=o if round_trip else d, depart_time=t,
+                                    demand_id=demand_id, round_trip_allowed=round_trip))
+            routes.append(route)
             continue
 
         triples.append(ODTriple(origin=o, destination=d, depart_time=t, demand_id=demand_id))

@@ -250,7 +250,7 @@ def test_criterion_11_planner_matches_enumeration():
             demand_id=f"a{trial}",
         )
         expected = oracle_enumerate_routes(net, triple, max_legs=3)[:5]
-        got = k_top_routes(net, triple, k=5, max_legs=3)
+        got = k_top_routes(net, triple, k=5)
         if [r.identity for r in got] != [r.identity for r in expected]:
             mismatches += 1
         elif any(full_trip_time(a) != full_trip_time(b) for a, b in zip(got, expected)):

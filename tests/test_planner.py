@@ -81,13 +81,6 @@ class TestKTopRoutes:
                           round_trip_allowed=True)
         assert k_top_routes(two_line_net, triple, k=3) == []
 
-    @pytest.mark.parametrize("max_legs", [0, -2])
-    def test_leg_cap_below_one_rejected(self, two_line_net, max_legs):
-        triple = ODTriple(origin=two_line_net.stops[0], destination=two_line_net.stops[1],
-                          depart_time=30_000, demand_id="t")
-        with pytest.raises(PlannerError, match="max_legs"):
-            k_top_routes(two_line_net, triple, k=1, max_legs=max_legs)
-
     def test_unknown_stop_rejected(self, two_line_net):
         ghost = grid_stop("ghost", 1.0)
         triple = ODTriple(origin=ghost, destination=two_line_net.stops[1],
@@ -122,6 +115,18 @@ class TestKTopRoutes:
         net = TransitNetwork(stops=(a, b, island), lines=(simple_line("A", [a, b]),))
         triple = ODTriple(origin=a, destination=island, depart_time=30_000, demand_id="u")
         assert k_top_routes(net, triple, k=3) == []
+
+    def test_route_longer_than_two_days(self):
+        # one segment rides 3 days: the leg cap is the only limit on the routes
+        a = grid_stop("a", 0.0)
+        b = grid_stop("b", 5000.0)
+        net = TransitNetwork(stops=(a, b), lines=(simple_line("slow", [a, b], ride_s=259_200),))
+        triple = ODTriple(origin=a, destination=b, depart_time=30_000, demand_id="s")
+        got = k_top_routes(net, triple, k=5)
+        expected = oracle_enumerate_routes(net, triple)
+        assert got
+        assert [r.identity for r in got] == [r.identity for r in expected]
+        assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
 
     def test_no_service_after_window(self, two_line_net):
         triple = ODTriple(origin=two_line_net.stops[0], destination=two_line_net.stops[1],
@@ -205,7 +210,7 @@ class TestAgainstEnumeration:
                               depart_time=int(rng.integers(7 * 3600, 20 * 3600)),
                               demand_id=f"x{trial}")
             expected = oracle_enumerate_routes(net, triple, max_legs=3)
-            got = k_top_routes(net, triple, k=5, max_legs=3)
+            got = k_top_routes(net, triple, k=5)
             assert len(got) == min(5, len(expected))
             for mine, ref in zip(got, expected[:5]):
                 assert mine.identity == ref.identity
@@ -222,7 +227,7 @@ class TestAgainstEnumeration:
                               depart_time=int(rng.integers(7 * 3600, 20 * 3600)),
                               demand_id=f"y{trial}")
             expected = oracle_enumerate_routes(net, triple, max_legs=3)
-            got = k_top_routes(net, triple, k=1, max_legs=3)
+            got = k_top_routes(net, triple, k=1)
             if not expected:
                 assert got == []
             else:
@@ -238,9 +243,9 @@ class TestSharedSearch:
         origins = []
         search = planner._search_origin
 
-        def counting(index, origin, ceiling, max_legs):
+        def counting(index, origin):
             origins.append(origin)
-            return search(index, origin, ceiling, max_legs)
+            return search(index, origin)
 
         monkeypatch.setattr(planner, "_search_origin", counting)
         return origins
@@ -277,32 +282,25 @@ class TestSharedSearch:
             assert len(k_top_routes(net, triple, k=5)) == 5
         assert len(realized) / n_calls <= 12
 
-    # 3300 s, the first ceiling of a query on this network, cuts nothing
-    # (212 064 skeletons, 204 322 of them with 3 legs); 1800 s cuts some.
-    @pytest.mark.parametrize("ceiling, digest", [
-        (3300, "69909a43e2765f9160fdd85b3f6a55a1f504c2a414ed8a3c40faa5781b814692"),
-        (1800, "a8e0001542155f64d18034896febbe295dd426cc7de08a0401d0182da92e0902"),
-    ], ids=["ceiling=3300", "ceiling=1800"])
-    def test_pinned_skeletons_of_every_origin(self, ceiling, digest):
+    def test_pinned_skeletons_of_every_origin(self):
+        # 212 064 skeletons, 204 322 of them with 3 legs
         net = build_grid_network(rows=5, cols=6, seed=0)
         h = hashlib.sha256()
         for origin in range(len(net.stops)):
-            cache = planner._search_origin(net._index, origin, ceiling, planner.DEFAULT_MAX_LEGS)
+            cache = planner._search_origin(net._index, origin)
             assert all(keys == sorted(keys) for keys in cache.by_dest)
             by_dest = [sorted(skeleton_of(net._index, cache, key) for key in keys)
                        for keys in cache.by_dest]
-            h.update(repr((by_dest, cache.exhausted)).encode())
-        assert h.hexdigest() == digest
+            h.update(repr(by_dest).encode())
+        assert h.hexdigest() == "452e993ed874c8df09dc039f6042324552775bb919da52ccc30265a07efd0730"
 
     def test_skeleton_store_stays_small(self):
-        # The 212 064 skeletons of the first ceiling; filed as flat 13-int
-        # tuples they took 38 MB.
+        # The 212 064 skeletons; filed as flat 13-int tuples they took 38 MB.
         net = build_grid_network(rows=5, cols=6, seed=0)
         index = net._index
         tracemalloc.start()
         try:
-            caches = [planner._search_origin(index, origin, 3300, planner.DEFAULT_MAX_LEGS)
-                      for origin in range(len(net.stops))]
+            caches = [planner._search_origin(index, origin) for origin in range(len(net.stops))]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -346,7 +344,7 @@ def small_networks(draw):
 
 @st.composite
 def planner_queries(draw):
-    """A network and 1-4 queries (origin, destination, depart, k, max_legs);
+    """A network and 1-4 queries (origin, destination, depart, k);
     the queries share origins, so later ones read the cached search."""
     net = draw(small_networks())
     n = len(net.stops)
@@ -355,8 +353,7 @@ def planner_queries(draw):
     for _ in range(draw(st.integers(1, 4))):
         o = draw(st.sampled_from(origins))
         d = draw(st.integers(0, n - 1).filter(lambda d: d != o))
-        queries.append((o, d, draw(st.integers(0, 86_399)), draw(st.integers(1, 5)),
-                        draw(st.integers(1, 3))))
+        queries.append((o, d, draw(st.integers(0, 86_399)), draw(st.integers(1, 5))))
     return net, queries
 
 
@@ -365,24 +362,25 @@ class TestPlannerProperties:
     @given(planner_queries())
     def test_top_k_equals_exhaustive_enumeration(self, case):
         net, queries = case
-        for o, d, depart, k, max_legs in queries:
+        for o, d, depart, k in queries:
             triple = ODTriple(origin=net.stops[o], destination=net.stops[d],
                               depart_time=depart, demand_id="h")
-            expected = oracle_enumerate_routes(net, triple, max_legs=max_legs)[:k]
-            got = k_top_routes(net, triple, k=k, max_legs=max_legs)
+            expected = oracle_enumerate_routes(net, triple)[:k]
+            got = k_top_routes(net, triple, k=k)
             assert [r.identity for r in got] == [r.identity for r in expected]
             assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
 
 
 def skeleton_of(index, cache, key) -> tuple[int, ...]:
     """The flat tuple (bound, line, board_pos, alight_pos, walk_s, line, ...)
-    that a skeleton key files: the bound above cache.shift, the legs of the
-    node it names, then its last leg's fields at the index's key offsets."""
-    offsets = (*index.key_offsets, cache.shift)
+    that a skeleton key files: the bound above index.shift, the legs of the
+    cache's node it names, then its last leg's fields at the index's key
+    offsets."""
+    offsets = (*index.key_offsets, index.shift)
     walk_s, apos, pos, line, node = (
         (key >> lo) & ((1 << (hi - lo)) - 1) for lo, hi in zip(offsets, offsets[1:])
     )
-    return (key >> cache.shift, *cache.nodes[node], line, pos, apos, walk_s)
+    return (key >> index.shift, *cache.nodes[node], line, pos, apos, walk_s)
 
 
 def static_cost(net, skeleton) -> int:
@@ -399,10 +397,9 @@ class TestWaitBound:
     @given(small_networks(), st.data())
     def test_bound_lies_between_static_and_realized_cost(self, net, data):
         origin = data.draw(st.integers(0, len(net.stops) - 1))
-        max_legs = data.draw(st.integers(1, 3))
         departs = data.draw(st.lists(st.integers(0, 86_399), min_size=1, max_size=6))
         index = net._index
-        cache = planner._search_origin(index, origin, planner._CEILING_CAP_S, max_legs)
+        cache = planner._search_origin(index, origin)
         for keys in cache.by_dest:
             for skeleton in (skeleton_of(index, cache, key) for key in keys):
                 bound = skeleton[0]
@@ -433,12 +430,11 @@ class TestSkeletonKeys:
         index = net._index
         positions, walks_s = set(), set()
         for origin in (0, 280, 299, 301):
-            cache = planner._search_origin(index, origin, planner._CEILING_CAP_S,
-                                           planner.DEFAULT_MAX_LEGS)
+            cache = planner._search_origin(index, origin)
             for dest, keys in enumerate(cache.by_dest):
                 for key in keys:
                     skeleton = skeleton_of(index, cache, key)
-                    assert skeleton[0] == key >> cache.shift
+                    assert skeleton[0] == key >> index.shift
                     assert static_cost(net, skeleton) <= skeleton[0]
                     at, walks = origin, [(origin, 0)]
                     for i in range(1, len(skeleton), 4):
@@ -461,7 +457,7 @@ class TestSkeletonKeys:
         triple = ODTriple(origin=net.stops[origin], destination=net.stops[dest],
                           depart_time=7 * 3600, demand_id="w")
         expected = oracle_enumerate_routes(net, triple, max_legs=3)[:5]
-        got = k_top_routes(net, triple, k=5, max_legs=3)
+        got = k_top_routes(net, triple, k=5)
         assert got
         assert [r.identity for r in got] == [r.identity for r in expected]
         assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]

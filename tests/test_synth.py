@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from tripforge import (
+    Line,
+    Stop,
     SynthConfig,
     TimeProfile,
+    TransitNetwork,
     angle_ratio,
     build_grid_network,
     full_trip_time,
@@ -116,8 +119,8 @@ class TestGenerateDay:
 
     @pytest.fixture
     def planner_log(self, monkeypatch):
-        """(k, routes found) per planner call or ranked pass, and ("u",
-        value) per rng.random() draw of generate_day, in call order."""
+        """(k, routes found) per ranked pass, and ("u", value) per
+        rng.random() draw of generate_day, in call order."""
         events = []
 
         def logged(plan):
@@ -127,7 +130,6 @@ class TestGenerateDay:
                 return routes
             return logged_plan
 
-        monkeypatch.setattr(synth, "k_top_routes", logged(synth.k_top_routes))
         monkeypatch.setattr(synth, "_ranked", logged(synth._ranked))
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: RecordingGenerator(np.random.PCG64(seed), events))
@@ -177,6 +179,11 @@ class TestGenerateDay:
         assert wide == detours
         # a trip builds only the route it keeps
         assert len(built_routes) == len(routes)
+
+    def test_od_pool_builds_no_route(self, small_net, built_routes):
+        cfg = small_cfg(small_net)
+        assert len(cfg._od_pool) == cfg.od_pool_size
+        assert built_routes == []
 
     def test_deterministic_per_seed_and_day(self, small_net):
         cfg = small_cfg(small_net)
@@ -248,17 +255,31 @@ class TestGenerateDay:
         assert obs_full > plan_full
         assert obs_tr > plan_tr
 
-    def test_one_way_network_only_samples_reachable_pairs(self):
-        from tripforge import Stop, TransitNetwork, Line
-
+    @pytest.fixture
+    def one_way_net(self):
+        """Line solo runs from a to b only."""
         a = Stop("a", 0.0, 0.0)
         b = Stop("b", 0.0, 0.5)
         line = Line(
             line_id="solo", stop_ids=("a", "b"), seg_ride_s=(600,), seg_dist_m=(60_000.0,),
             headway_s=600, first_dep_s=21_600, last_dep_s=79_200,
         )
-        net = TransitNetwork(stops=(a, b), lines=(line,))
-        cfg = SynthConfig(network=net, days=1, day_types=(WORKING,), trips_per_day=10,
+        return TransitNetwork(stops=(a, b), lines=(line,))
+
+    def test_one_way_network_only_samples_reachable_pairs(self, one_way_net):
+        cfg = SynthConfig(network=one_way_net, days=1, day_types=(WORKING,), trips_per_day=10,
                           od_pool_size=10, seed=1)
         triples, routes, _ = generate_day(cfg, 0)  # only a->b is reachable
         assert all(t.origin.stop_id == "a" for t in triples if not t.round_trip_allowed)
+
+    def test_one_way_line_is_never_ridden_backwards(self, one_way_net):
+        # a round trip needs the reverse of every outbound line; solo has none
+        cfg = SynthConfig(network=one_way_net, days=1, day_types=(WORKING,), trips_per_day=50,
+                          od_pool_size=10, seed=1)
+        triples, routes, _ = generate_day(cfg, 0)
+        order = {line.line_id: line.stop_ids for line in one_way_net.lines}
+        for route in routes:
+            for leg in route.legs:
+                stop_ids = order[leg.line_id]
+                assert stop_ids.index(leg.board_stop.stop_id) < stop_ids.index(leg.alight_stop.stop_id)
+        assert not any(t.round_trip_allowed for t in triples)
