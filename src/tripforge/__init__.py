@@ -65,7 +65,6 @@ from .planner import (
     Line,
     PlannerError,
     TransitNetwork,
-    generalized_cost,
     k_top_routes,
 )
 from .sampler import (

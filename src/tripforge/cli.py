@@ -28,18 +28,15 @@ class ConfigError(ValueError):
 # Synth config file: line-oriented "key value" pairs.
 # ---------------------------------------------------------------------------
 
-_SYNTH_INT_KEYS = {
-    "seed", "days", "start_weekday", "trips_per_day", "planner_k", "od_pool_size",
-    "grid_rows", "grid_cols", "network_seed",
-}
-_SYNTH_FLOAT_KEYS = {
-    "weekend_scale", "p_round", "p_detour", "detour_rank_decay", "dwell_mean_s",
-    "round_dwell_mean_s", "weekend_round_factor", "weekend_dwell_factor",
-    "grid_spacing_m",
-}
 # Config keys of the grid network and the `build_grid_network` argument each sets.
 _GRID_KEYS = {"grid_rows": "rows", "grid_cols": "cols", "grid_spacing_m": "spacing_m",
               "network_seed": "seed"}
+# The numeric config keys and their annotated types, "int" or "float": the
+# SynthConfig fields and the grid network's arguments.
+_SYNTH_NUMBERS = {f.name: f.type for f in dataclasses.fields(SynthConfig)
+                  if f.type in ("int", "float")}
+_SYNTH_NUMBERS.update((key, build_grid_network.__annotations__[arg])
+                      for key, arg in _GRID_KEYS.items())
 
 
 def parse_synth_config(path) -> SynthConfig:
@@ -59,12 +56,13 @@ def parse_synth_config(path) -> SynthConfig:
 
     values: dict[str, object] = {}
     for key, value in raw.items():
-        if key in _SYNTH_INT_KEYS:
+        kind = _SYNTH_NUMBERS.get(key)
+        if kind == "int":
             try:
                 values[key] = int(value)
             except ValueError:
                 raise ConfigError(f"field {key!r}: expected integer, got {value!r}") from None
-        elif key in _SYNTH_FLOAT_KEYS:
+        elif kind == "float":
             try:
                 values[key] = float(value)
             except ValueError:

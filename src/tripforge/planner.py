@@ -30,7 +30,6 @@ from functools import cache, cached_property
 from itertools import accumulate
 from operator import itemgetter
 
-from .metrics import full_trip_time
 from .model import Leg, ODTriple, Route, Stop, great_circle_m
 
 MAX_LEGS = 3
@@ -299,11 +298,6 @@ def _route(net: TransitNetwork, skeleton: tuple[int, ...], times: list[int]) -> 
     return Route(legs=tuple(legs))
 
 
-def generalized_cost(route: Route, transfer_penalty_s: int) -> float:
-    """Ranking cost: full trip time plus a penalty per transfer."""
-    return full_trip_time(route) + transfer_penalty_s * (len(route.legs) - 1)
-
-
 def k_top_routes(net: TransitNetwork, triple: ODTriple, k: int = 5) -> list[Route]:
     """Up to k loopless routes of at most MAX_LEGS legs for the demand,
     ranked by generalized cost.
@@ -337,8 +331,8 @@ def _ranked(
     # realized cost drops strictly below the next bound no later skeleton can
     # enter the top k (ties are still scanned so the ordering stays exact); a
     # skeleton costing more than the k-th is never returned and is dropped
-    # unranked.  The cost is the double generalized_cost gives; the identity
-    # is Route.identity as a list.
+    # unranked.  The cost is trip time plus the penalty per transfer, as a
+    # double; the identity is Route.identity as a list.
     penalty = index.transfer_penalty_s
     legs = index.legs
     depart_time = triple.depart_time

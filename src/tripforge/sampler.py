@@ -6,12 +6,15 @@ values on a log scale with the temperature exponent, so improving moves are
 always accepted and the exponent 1/L never overflows.  The temperature decays
 once per sweep (one sweep = one proposal per demand on average), keeping
 schedules comparable across demand sizes.  The proposals read a PCG64 stream
-spawned off the seed and turn its words into exactly the integers and
-doubles numpy's `Generator` would draw from that seed, call for call.
+spawned off the seed and turn its words, a block at a time, into exactly the
+integers and doubles numpy's `Generator` would draw from that seed, call for
+call.
 
-`run` draws its proposals in blocks of arrays and loops over them with local
-tables.  The public step functions `propose`, `delta_error`,
-`acceptance_probability` and `apply_delta` define each step, and are the
+`run` draws its proposals in blocks of arrays, each with a table of
+per-proposal temperatures, and loops over them with local tables.  Only a
+checkpoint or the block cap ends a block; cooling does not.  The public step
+functions `propose`, `delta_error`, `acceptance_probability` and
+`apply_delta`, drawing from a `Generator`, define each step, and are the
 reference the tests check the loop against, draw for draw and bit for bit.
 A proposal on the benchmark's chain-long instance takes about 1.15 µs on a
 2-core x86 VM, against 1.8 µs when each draw was one call.
@@ -130,9 +133,8 @@ def _weighted_draw(weights, u: float, skip: int = -1) -> int:
 def propose(state: ChainState, rng) -> tuple[int, int, float]:
     """One single-variable proposal.
 
-    `rng` is anything with numpy `Generator`'s `integers(low, high)` and
-    `random()`: a `Generator`, or the stream `run` builds, which returns the
-    same values.
+    `rng` is a numpy `Generator`; `run` draws the same values from its own
+    stream.
 
     Picks a demand uniformly among those with >= 2 candidates, then a
     candidate different from the current one, drawn from the set's weights
@@ -154,11 +156,10 @@ def propose(state: ChainState, rng) -> tuple[int, int, float]:
 
 
 class _ProposalStream:
-    """The draws `np.random.default_rng(seed)` makes through `integers(low,
-    high)` and `random()`, value for value, without numpy's per-call cost.
+    """Rounds of the draws `integers(0, m)`, `random()`, `random()` that
+    `np.random.default_rng(seed)` makes, value for value, many at a time.
 
-    Words come from `PCG64.random_raw` into one buffer, read one at a time by
-    `integers` and `random` and many at once by `block`.  A double is the top
+    Words come from `PCG64.random_raw` into one buffer.  A double is the top
     53 bits of a word times 2**-53.  An integer uses Lemire's multiply-and-
     reject method on 32-bit draws, which take a fresh word's low half first
     and keep its high half for the next 32-bit draw, as PCG64 does; a range
@@ -178,41 +179,15 @@ class _ProposalStream:
             self._buf, self._pos = np.concatenate((self._buf[self._pos:], fresh)), 0
         return self._buf[self._pos:self._pos + count]
 
-    def _word(self) -> int:
-        if self._pos == len(self._buf):
-            self._words(1)
-        self._pos += 1
-        return self._buf.item(self._pos - 1)
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def integers(self, low: int, high: int) -> int:
-        m = high - low
-        if not 1 < m <= 1 << 32:
-            if m == 1:
-                return low
-            raise ValueError(f"high - low must lie in [1, 2**32], got {m}")
-        threshold = ((1 << 32) - m) % m
-        while True:
-            if self._high is None:
-                word = self._word()
-                x, self._high = word & 0xFFFFFFFF, word >> 32
-            else:
-                x, self._high = self._high, None
-            product = x * m
-            if product & 0xFFFFFFFF >= threshold:
-                return low + (product >> 32)
-
     def block(self, m: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`count` rounds of `(integers(0, m), random(), random())` as three
         arrays, equal to what those calls would return in turn.
 
         With m > 1 the rounds alternately split a fresh word and take the
         high half the round before left, so their words sit at known offsets.
-        A vectorized pass keeps the rounds before Lemire's first rejection;
-        the calls themselves then draw windows of 1, 2, ..., 32 rounds, and
-        passes resume at 64 rounds, doubling while clean.
+        A vectorized pass keeps the rounds before Lemire's first rejection and
+        drops the rejected 32-bit draw; that round draws again in the next
+        pass.  A pass after a rejection covers 1 round, doubling while clean.
         """
         if not 1 <= m <= 1 << 32:
             raise ValueError(f"m must lie in [1, 2**32], got {m}")
@@ -223,31 +198,30 @@ class _ProposalStream:
             parts.append((np.zeros(count, np.uint64), words[0::2], words[1::2]))
             count = 0
         threshold = ((1 << 32) - m) % m
-        window = max(count, 64)  # rounds in the next pass; 1 after a rejection
+        window = count  # rounds in the next pass
         while count:
             n = min(count, window)
-            if window < 64:
-                rounds = [(self.integers(0, m), self._word(), self._word()) for _ in range(n)]
-                parts.append(np.array(rounds, np.uint64).T)
-                k, window = n, 2 * window
-            else:
-                saved = int(self._high is not None)
-                r = np.arange(n + 1)
-                fresh = (r + saved) % 2 == 0  # the rounds that split a fresh word
-                start = 2 * r + (r + 1 - saved) // 2  # the words read before each round
-                words = self._words(int(start[n]))
-                split = words[start[:n][fresh[:n]]]
-                halves = np.empty(2 * len(split) + saved, np.uint64)  # the 32-bit draws
-                halves[:saved] = self._high or 0  # the saved high half, if any
-                halves[saved::2], halves[saved + 1::2] = split & 0xFFFFFFFF, split >> 32
-                products = halves[:n] * np.uint64(m)  # below 2**64
-                rejected = np.flatnonzero(products & 0xFFFFFFFF < threshold)
-                k = int(rejected[0]) if len(rejected) else n
-                first = start[:k] + fresh[:k]
-                parts.append((products[:k] >> 32, words[first], words[first + 1]))
-                self._pos += int(start[k])
-                self._high = None if fresh[k] else halves.item(k)
-                window = 1 if k < n else 2 * window
+            saved = int(self._high is not None)
+            r = np.arange(n + 1)
+            fresh = (r + saved) % 2 == 0  # the rounds that split a fresh word
+            start = 2 * r + (r + 1 - saved) // 2  # the words read before each round
+            words = self._words(int(start[n]))
+            split = words[start[:n][fresh[:n]]]
+            halves = np.empty(2 * len(split) + saved, np.uint64)  # the 32-bit draws
+            halves[:saved] = self._high or 0  # the saved high half, if any
+            halves[saved::2], halves[saved + 1::2] = split & 0xFFFFFFFF, split >> 32
+            products = halves[:n] * np.uint64(m)  # below 2**64
+            rejected = np.flatnonzero(products & 0xFFFFFFFF < threshold)
+            k = int(rejected[0]) if len(rejected) else n
+            first = start[:k] + fresh[:k]
+            parts.append((products[:k] >> 32, words[first], words[first + 1]))
+            # The kept rounds read two doubles each, and the 32-bit draws
+            # used, a rejected one included, split one fresh word per two
+            # past the saved half; a high half is left after a low half.
+            used = k + (k < n)
+            self._pos += 2 * k + (used + 1 - saved) // 2
+            self._high = halves.item(used) if (used - saved) % 2 else None
+            window = 1 if k < n else 2 * window
             count -= k
         picks, firsts, seconds = map(np.concatenate, zip(*parts))
         return picks.astype(np.int64), (firsts >> 11) * 2.0**-53, (seconds >> 11) * 2.0**-53
@@ -316,11 +290,19 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     accepted = last = 0  # accepted moves since, and iteration of, the last checkpoint
     done = 0  # proposals made
     while done < iterations:
-        # A segment ends at the next cooling step, the next checkpoint or the
-        # block cap, and draws all its proposals in one block.
-        end = min(done + _BLOCK, (done // n + 1) * n, (done // every + 1) * every, iterations)
+        # A segment ends at the next checkpoint or the block cap, and draws
+        # all its proposals in one block; the temperature of each proposal
+        # cools once per sweep.
+        end = min(done + _BLOCK, (done // every + 1) * every, iterations)
         picks, us, vs = rng.block(n_eligible, end - done)
-        for j, u, v in zip(eligible[picks].tolist(), us.tolist(), vs.tolist()):
+        temps = []
+        while done < end:
+            sweep_end = min(end, (done // n + 1) * n)
+            temps += [temperature] * (sweep_end - done)
+            done = sweep_end
+            if done % n == 0:
+                temperature = max(l_min, temperature * decay)
+        for j, u, v, temp in zip(eligible[picks].tolist(), us.tolist(), vs.tolist(), temps):
             # propose: a candidate from the weights renormalized over the
             # non-current ones
             weights = all_weights[j]
@@ -351,7 +333,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
                 trial[ki] = dev
                 err_cand += scale * dev
             # acceptance_probability against the acceptance draw v
-            log_alpha = log(q_ratio) + (log_error - log(err_cand + eps)) / temperature
+            log_alpha = log(q_ratio) + (log_error - log(err_cand + eps)) / temp
             if log_alpha >= 0.0 or v < exp(log_alpha):
                 # apply_delta, with the deviation sums already in `trial`
                 for _, _, rows, counts, _ in tables:
@@ -371,9 +353,6 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
                 if error < best_error:
                     best_error = error
                     best_assignment[:] = assignment
-        done = end
-        if done % n == 0:
-            temperature = max(l_min, temperature * decay)
         if done % every == 0 or done == iterations:
             rate = accepted / (done - last)
             checkpoints.append(Checkpoint(done, error, best_error, rate, temperature))

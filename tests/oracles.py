@@ -29,7 +29,6 @@ from tripforge import (
     l1_mismatch,
     propose,
 )
-from tripforge.sampler import _ProposalStream
 
 
 def characteristic_value(tag: str, route: Route) -> float:
@@ -64,6 +63,11 @@ def total_error(state) -> float:
         e.weight * l1_mismatch(h, e.target)
         for h, e in zip(cached_histograms(state), state.spec.entries)
     ))
+
+
+def generalized_cost(route: Route, transfer_penalty_s: int) -> float:
+    """The planner's ranking cost: full trip time plus a penalty per transfer."""
+    return full_trip_time(route) + transfer_penalty_s * (len(route.legs) - 1)
 
 
 def oracle_next_departure(line, pos: int, t: int):
@@ -141,8 +145,7 @@ def oracle_enumerate_routes(net, triple, max_legs: int = 3) -> list[Route]:
 
     extend([], set(), triple.depart_time)
     keyed = [
-        (full_trip_time(r) + net.transfer_penalty_s * (len(r.legs) - 1), len(r.legs), r.identity, r)
-        for r in results
+        (generalized_cost(r, net.transfer_penalty_s), len(r.legs), r.identity, r) for r in results
     ]
     keyed.sort(key=lambda x: (x[0], x[1], x[2]))
     return [r for _, _, _, r in keyed]
@@ -175,12 +178,12 @@ def oracle_min_error(candidate_sets, spec):
 
 def reference_run(candidate_sets, spec, config) -> RunTrace:
     """`sampler.run` composed from the public step functions: `propose`,
-    `delta_error`, `acceptance_probability` and `apply_delta` over the same
-    proposal stream, one call each per proposal."""
+    `delta_error`, `acceptance_probability` and `apply_delta`, one call each
+    per proposal, drawing from numpy's own `Generator` on the proposal seed."""
     candidate_sets = list(candidate_sets)
     state = initialize(candidate_sets, spec, config.seed)
     initial_assignment = state.assignment.copy()
-    rng = _ProposalStream(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     temperature = config.l0
     best_error = state.cached_error
     best_assignment = state.assignment.copy()

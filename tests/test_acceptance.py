@@ -19,7 +19,6 @@ from tripforge import (
     build_grid_network,
     fit_beta_moments,
     full_trip_time,
-    generalized_cost,
     great_circle_m,
     k_top_routes,
     l1_mismatch,

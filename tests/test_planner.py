@@ -17,14 +17,13 @@ from tripforge import (
     TransitNetwork,
     build_grid_network,
     full_trip_time,
-    generalized_cost,
     k_top_routes,
     validate_route,
 )
 from tripforge import planner
 
 from conftest import DEG_PER_M
-from oracles import oracle_enumerate_routes, transfer_walk_problems
+from oracles import generalized_cost, oracle_enumerate_routes, transfer_walk_problems
 
 
 def grid_stop(sid, x_m, y_m=0.0):

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,14 +17,16 @@ from tripforge import (
     Route,
     SamplerConfig,
     acceptance_probability,
+    apply_delta,
     build_empirical_target,
+    delta_error,
     initialize,
     propose,
     run,
 )
 from tripforge.sampler import _BLOCK, _ProposalStream
 
-from conftest import make_leg, make_stop
+from conftest import make_leg, make_stop, random_route
 from oracles import oracle_min_error, reference_run
 from test_metrics import default_spec, make_candidate_sets
 
@@ -197,40 +201,28 @@ def error_neutral_sets():
 
 class TestProposalStream:
     @pytest.mark.parametrize("m", [1, 2, 3, 1990, 2**31 + 1, 2**32])
-    def test_matches_generator_call_for_call(self, m):
-        # 2 000 rounds read 4 000 to 6 000 words, more than three blocks of
-        # 1 024.  At m = 2**31 + 1 Lemire's method rejects about half the
-        # 32-bit draws; at m = 1 it draws nothing, so the doubles after it
-        # would shift if a word were read.
-        seed = np.random.SeedSequence(2019, spawn_key=(1,))
-        stream, generator = _ProposalStream(seed), np.random.default_rng(seed)
-
-        def draws(rng):
-            return [(rng.integers(0, m), rng.random(), rng.random()) for _ in range(2_000)]
-
-        assert draws(stream) == draws(generator)
-        for bad in (0, 2**32 + 1):
-            with pytest.raises(ValueError):
-                stream.integers(0, bad)
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 1990, 2**31 + 1, 2**32])
     def test_block_matches_generator(self, m):
-        # A scalar integers(0, 2) after each block takes or leaves a 32-bit
-        # half, so blocks start both with and without a saved high half; the
-        # blocks of 3 000 and 4 097 rounds span several refills of 1 024
-        # words.  At m = 2**31 + 1 about half the 32-bit draws are rejected.
+        # A block of one round of integers(0, 2) after each block takes or
+        # leaves a 32-bit half, so blocks start both with and without a saved
+        # high half; the blocks of 3 000 and 4 097 rounds span several refills
+        # of 1 024 words.  At m = 2**31 + 1 about half the 32-bit draws are
+        # rejected; at m = 1 none is made, so the doubles would shift if a
+        # word were read.
         seed = np.random.SeedSequence(2019, spawn_key=(1,))
         stream, generator = _ProposalStream(seed), np.random.default_rng(seed)
-        starts_saved = set()
-        for count in (1, 2, 5, 3_000, 4_097) * 2:
-            starts_saved.add(stream._high is not None)
+
+        def same_rounds(m, count):
             picks, firsts, seconds = stream.block(m, count)
             assert list(zip(picks.tolist(), firsts.tolist(), seconds.tolist())) == [
                 (generator.integers(0, m), generator.random(), generator.random())
                 for _ in range(count)
             ]
-            assert stream.integers(0, 2) == generator.integers(0, 2)
-            assert stream.random() == generator.random()
+
+        starts_saved = set()
+        for count in (1, 2, 5, 3_000, 4_097) * 2:
+            starts_saved.add(stream._high is not None)
+            same_rounds(m, count)
+            same_rounds(2, 1)
         assert starts_saved == {False, True}
         for bad in (0, 2**32 + 1):
             with pytest.raises(ValueError):
@@ -374,6 +366,50 @@ class TestRun:
         assert np.array_equal(trace.final_state.assignment, init.assignment)
         assert len(trace.checkpoints) == 1
 
+    def test_cooling_does_not_end_a_block(self, monkeypatch):
+        # 4 demands cool every 4 proposals; blocks end only at _BLOCK
+        # proposals, at a checkpoint and at the last iteration
+        counts = []
+        block = _ProposalStream.block
+        monkeypatch.setattr(_ProposalStream, "block",
+                            lambda stream, m, count: counts.append(count) or block(stream, m, count))
+        sets, spec = _random_instance(3)
+        sets = [cs for cs in sets if len(cs) > 1][:4]
+        cfg = SamplerConfig(iterations=50_000, seed=3)
+        run(sets, spec, cfg)
+        assert sum(counts) == cfg.iterations
+        assert len(counts) <= math.ceil(cfg.iterations / _BLOCK) + cfg.iterations // cfg.checkpoint_every
+
+    def test_visits_follow_the_stationary_law(self):
+        # At a fixed temperature L the chain's invariant law is
+        # pi(a) ~ (err(a) + eps)^(-1/L): the proposal correction cancels the
+        # candidate weights.  3 demands of 3 candidates give 27 assignments;
+        # at L = 0.02 pi lies 0.45 from uniform in total variation, and a
+        # chain without the correction lands about 0.22 from pi.
+        rng = np.random.default_rng(1)
+        sets = []
+        for j in range(3):
+            routes = [random_route(rng) for _ in range(3)]
+            triple = ODTriple(origin=routes[0].origin, destination=routes[0].destination,
+                              depart_time=28_800, demand_id=f"t{j}")
+            sets.append(CandidateSet(triple=triple, candidates=tuple(zip(routes, (0.6, 0.3, 0.1)))))
+        spec = default_spec(rng)
+        temperature, eps, n = 0.02, 1e-9, 100_000
+        assignments = list(itertools.product(range(3), repeat=3))
+        errors = np.array([ChainState(sets, spec, np.array(a)).cached_error for a in assignments])
+        pi = (errors + eps) ** (-1.0 / temperature)
+        pi /= pi.sum()
+        state = ChainState(sets, spec, np.zeros(3, dtype=np.int64))
+        visits = np.zeros(len(assignments))
+        for _ in range(n):
+            j, cand, q_ratio = propose(state, rng)
+            err_cand = delta_error(state, j, cand)
+            if rng.random() < acceptance_probability(state.cached_error, err_cand, q_ratio,
+                                                     temperature, eps):
+                apply_delta(state, j, cand)
+            visits[assignments.index(tuple(state.assignment.tolist()))] += 1
+        assert 0.5 * np.abs(visits / n - pi).sum() <= 0.03
+
     def test_finds_global_minimum_on_tiny_instances(self):
         # the full 100-instance gate lives in the acceptance suite
         rng = np.random.default_rng(41)
@@ -451,8 +487,8 @@ class TestRunMatchesReference:
         cfg = SamplerConfig(iterations=10 * len(sets), seed=5, checkpoint_every=600)
         self.assert_same(sets, spec, cfg)
 
-    # `run` draws its proposals in segments that end at a cooling step, a
-    # checkpoint, the last iteration or after _BLOCK proposals.
+    # `run` draws its proposals in segments that end at a checkpoint, the
+    # last iteration or after _BLOCK proposals.
 
     def test_iterations_off_every_boundary(self):
         # 39 demands: a sweep of odd length hands a saved high half to the
@@ -467,6 +503,15 @@ class TestRunMatchesReference:
         assert len(sets) > _BLOCK
         cfg = SamplerConfig(iterations=10_000, seed=7, checkpoint_every=9_000, decay=0.5)
         self.assert_same(sets, spec, cfg)
+
+    def test_cooling_to_the_floor_within_a_block(self):
+        # a sweep of 3 proposals: one block spans hundreds of cooling steps,
+        # and the temperature reaches l_min after 66 of them
+        sets, spec = _random_instance(5)
+        sets = [cs for cs in sets if len(cs) > 1][:3]
+        cfg = SamplerConfig(iterations=3_000, seed=4, checkpoint_every=2_500, decay=0.9, l_min=1e-3)
+        trace = self.assert_same(sets, spec, cfg)
+        assert trace.checkpoints[-1].temperature == cfg.l_min
 
     def test_checkpoint_period_beyond_the_chain(self):
         sets, spec = _random_instance(5)
