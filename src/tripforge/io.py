@@ -234,11 +234,13 @@ def write_trips(records, path) -> None:
     Path(path).write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
 
 
-def read_trips(path, stops_by_id: dict[str, Stop], line_ids: set[str] | None = None):
+def read_trips(path, stops_by_id: dict[str, Stop],
+               line_stops: dict[str, tuple[str, ...]] | None = None):
     """(day, day_type, demand_id, Route) per row, one row per demand id.
-    Each route must pass `validate_route` and ride lines in `line_ids` if
-    given, and in a `day_###_<type>` file each row must carry the file
-    name's day and day type."""
+    Each route must pass `validate_route`; if `line_stops` (each line's stop
+    order) is given, each leg must ride a line in it from a stop to a later
+    one.  In a `day_###_<type>` file each row must carry the file name's day
+    and day type."""
     out = []
     demand_lineno: dict[str, int] = {}
     named = parse_day_file_name(path)
@@ -284,9 +286,14 @@ def read_trips(path, stops_by_id: dict[str, Stop], line_ids: set[str] | None = N
         problems = validate_route(route)
         if problems:
             raise FormatError(path, lineno, problems[0])
-        for leg in legs if line_ids is not None else ():
-            if leg.line_id not in line_ids:
+        for leg in legs if line_stops is not None else ():
+            stops = line_stops.get(leg.line_id)
+            if stops is None:
                 raise FormatError(path, lineno, f"unknown line {leg.line_id!r}")
+            board, alight = leg.board_stop.stop_id, leg.alight_stop.stop_id
+            if board not in stops or alight not in stops[stops.index(board) + 1:]:
+                raise FormatError(path, lineno, f"line {leg.line_id!r} does not ride "
+                                                f"from {board!r} to {alight!r}")
         out.append((day, day_type, demand_id, route))
     return out
 
@@ -539,11 +546,11 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
             raise FormatError(net_path, None, "network file not found")
         network = read_network(net_path)
     stops_by_id = {s.stop_id: s for s in network.stops}
-    line_ids = {line.line_id for line in network.lines}
+    line_stops = {line.line_id: line.stop_ids for line in network.lines}
     days = []
     for trips_path in sorted(root.glob("day_*.trips")):
         day, day_type = parse_day_file_name(trips_path)
-        records = read_trips(trips_path, stops_by_id, line_ids)
+        records = read_trips(trips_path, stops_by_id, line_stops)
         demand_path = root / f"{trips_path.stem}.demand"
         if not demand_path.exists():
             raise FormatError(demand_path, None, "matching demand file not found")

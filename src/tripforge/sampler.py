@@ -5,19 +5,24 @@ restricted to the non-current candidates.  Acceptance compares objective
 values on a log scale with the temperature exponent, so improving moves are
 always accepted and the exponent 1/L never overflows.  The temperature decays
 once per sweep (one sweep = one proposal per demand on average), keeping
-schedules comparable across demand sizes.  The proposals read a PCG64 stream
-spawned off the seed and turn its words, a block at a time, into exactly the
-integers and doubles numpy's `Generator` would draw from that seed, call for
-call.
+schedules comparable across demand sizes.
 
-`run` draws its proposals in blocks of arrays, each with a table of
-per-proposal temperatures, and loops over them with local tables.  Only a
-checkpoint or the block cap ends a block; cooling does not.  The public step
-functions `propose`, `delta_error`, `acceptance_probability` and
-`apply_delta`, drawing from a `Generator`, define each step, and are the
-reference the tests check the loop against, draw for draw and bit for bit.
-A proposal on the benchmark's chain-long instance takes about 1.15 µs on a
-2-core x86 VM, against 1.8 µs when each draw was one call.
+The stream's specification is its block layout.  The proposals draw from
+`np.random.default_rng` on a seed spawned off the chain's seed, in blocks of
+`_BLOCK` proposals that start at multiples of `_BLOCK`.  Each block is three
+calls, in this order: `integers(0, m, _BLOCK)` picks among the m demands that
+have two or more candidates, `random(_BLOCK)` gives the doubles that choose
+each proposed candidate, and `random(_BLOCK)` the acceptance doubles.  Blocks
+are drawn whole, so the draws depend on neither the checkpoint period nor the
+chain's length, and a chain is a prefix of a longer one.
+
+`run` loops over each block with a table of per-proposal temperatures and
+local tables.  A segment ends only at the end of a block, at a checkpoint or
+at the last iteration; cooling does not end one.  The public step functions
+`propose`, `delta_error`, `acceptance_probability` and `apply_delta` define
+each step, and are the reference the tests check the loop against, bit for
+bit, fed the same block layout.  A proposal on the benchmark's chain-long
+instance takes about 2.3 µs on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -133,8 +138,9 @@ def _weighted_draw(weights, u: float, skip: int = -1) -> int:
 def propose(state: ChainState, rng) -> tuple[int, int, float]:
     """One single-variable proposal.
 
-    `rng` is a numpy `Generator`; `run` draws the same values from its own
-    stream.
+    `rng` serves `integers(0, m)` and then `random()`, as a numpy `Generator`
+    does.  `run` makes the same step from its blocks: a pick and a proposal
+    double per proposal, then an acceptance double.
 
     Picks a demand uniformly among those with >= 2 candidates, then a
     candidate different from the current one, drawn from the set's weights
@@ -153,78 +159,6 @@ def propose(state: ChainState, rng) -> tuple[int, int, float]:
     cand = _weighted_draw(weights, rng.random() * (1.0 - w_cur), cur)
     w_new = weights[cand]
     return j, cand, (w_cur * (1.0 - w_cur)) / (w_new * (1.0 - w_new))
-
-
-class _ProposalStream:
-    """Rounds of the draws `integers(0, m)`, `random()`, `random()` that
-    `np.random.default_rng(seed)` makes, value for value, many at a time.
-
-    Words come from `PCG64.random_raw` into one buffer.  A double is the top
-    53 bits of a word times 2**-53.  An integer uses Lemire's multiply-and-
-    reject method on 32-bit draws, which take a fresh word's low half first
-    and keep its high half for the next 32-bit draw, as PCG64 does; a range
-    of 1 draws nothing.  Ranges above 2**32, which numpy serves from 64-bit
-    draws, are not supported.
-    """
-
-    def __init__(self, seed: np.random.SeedSequence) -> None:
-        self._bitgen = np.random.PCG64(seed)
-        self._buf, self._pos = np.empty(0, dtype=np.uint64), 0  # words, first unread
-        self._high = None  # the unused high half of the last word split
-
-    def _words(self, count: int) -> np.ndarray:
-        """The next `count` words, left unread: the caller advances `_pos`."""
-        if self._pos + count > len(self._buf):
-            fresh = self._bitgen.random_raw(max(count, 1024))
-            self._buf, self._pos = np.concatenate((self._buf[self._pos:], fresh)), 0
-        return self._buf[self._pos:self._pos + count]
-
-    def block(self, m: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`count` rounds of `(integers(0, m), random(), random())` as three
-        arrays, equal to what those calls would return in turn.
-
-        With m > 1 the rounds alternately split a fresh word and take the
-        high half the round before left, so their words sit at known offsets.
-        A vectorized pass keeps the rounds before Lemire's first rejection and
-        drops the rejected 32-bit draw; that round draws again in the next
-        pass.  A pass after a rejection covers 1 round, doubling while clean.
-        """
-        if not 1 <= m <= 1 << 32:
-            raise ValueError(f"m must lie in [1, 2**32], got {m}")
-        parts = [np.empty((3, 0), np.uint64)]  # (integers, first words, second words)
-        if m == 1:  # integers(0, 1) reads no word
-            words = self._words(2 * count)
-            self._pos += 2 * count
-            parts.append((np.zeros(count, np.uint64), words[0::2], words[1::2]))
-            count = 0
-        threshold = ((1 << 32) - m) % m
-        window = count  # rounds in the next pass
-        while count:
-            n = min(count, window)
-            saved = int(self._high is not None)
-            r = np.arange(n + 1)
-            fresh = (r + saved) % 2 == 0  # the rounds that split a fresh word
-            start = 2 * r + (r + 1 - saved) // 2  # the words read before each round
-            words = self._words(int(start[n]))
-            split = words[start[:n][fresh[:n]]]
-            halves = np.empty(2 * len(split) + saved, np.uint64)  # the 32-bit draws
-            halves[:saved] = self._high or 0  # the saved high half, if any
-            halves[saved::2], halves[saved + 1::2] = split & 0xFFFFFFFF, split >> 32
-            products = halves[:n] * np.uint64(m)  # below 2**64
-            rejected = np.flatnonzero(products & 0xFFFFFFFF < threshold)
-            k = int(rejected[0]) if len(rejected) else n
-            first = start[:k] + fresh[:k]
-            parts.append((products[:k] >> 32, words[first], words[first + 1]))
-            # The kept rounds read two doubles each, and the 32-bit draws
-            # used, a rejected one included, split one fresh word per two
-            # past the saved half; a high half is left after a low half.
-            used = k + (k < n)
-            self._pos += 2 * k + (used + 1 - saved) // 2
-            self._high = halves.item(used) if (used - saved) % 2 else None
-            window = 1 if k < n else 2 * window
-            count -= k
-        picks, firsts, seconds = map(np.concatenate, zip(*parts))
-        return picks.astype(np.int64), (firsts >> 11) * 2.0**-53, (seconds >> 11) * 2.0**-53
 
 
 def acceptance_probability(
@@ -263,7 +197,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     initial_assignment = state.assignment.copy()
     # The proposal stream is spawned off the seed so it never replays the
     # initialization draws.
-    rng = _ProposalStream(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
 
     iterations, every, n = config.iterations, config.checkpoint_every, state.n
     temperature, decay, l_min, eps = config.l0, config.decay, config.l_min, config.epsilon
@@ -290,11 +224,15 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     accepted = last = 0  # accepted moves since, and iteration of, the last checkpoint
     done = 0  # proposals made
     while done < iterations:
-        # A segment ends at the next checkpoint or the block cap, and draws
-        # all its proposals in one block; the temperature of each proposal
-        # cools once per sweep.
-        end = min(done + _BLOCK, (done // every + 1) * every, iterations)
-        picks, us, vs = rng.block(n_eligible, end - done)
+        if done % _BLOCK == 0:
+            picks = eligible[rng.integers(0, n_eligible, _BLOCK)].tolist()
+            us, vs = rng.random(_BLOCK).tolist(), rng.random(_BLOCK).tolist()
+        # A segment ends at the end of its block, at the next checkpoint or at
+        # the last iteration; the temperature of each proposal cools once per
+        # sweep.
+        lo = done % _BLOCK
+        end = min(done - lo + _BLOCK, (done // every + 1) * every, iterations)
+        hi = lo + end - done
         temps = []
         while done < end:
             sweep_end = min(end, (done // n + 1) * n)
@@ -302,7 +240,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
             done = sweep_end
             if done % n == 0:
                 temperature = max(l_min, temperature * decay)
-        for j, u, v, temp in zip(eligible[picks].tolist(), us.tolist(), vs.tolist(), temps):
+        for j, u, v, temp in zip(picks[lo:hi], us[lo:hi], vs[lo:hi], temps):
             # propose: a candidate from the weights renormalized over the
             # non-current ones
             weights = all_weights[j]

@@ -29,6 +29,7 @@ from tripforge import (
     l1_mismatch,
     propose,
 )
+from tripforge.sampler import _BLOCK
 
 
 def characteristic_value(tag: str, route: Route) -> float:
@@ -176,14 +177,45 @@ def oracle_min_error(candidate_sets, spec):
     return best, best_assign
 
 
+class BlockDraws:
+    """numpy's `Generator` on a chain's proposal seed, drawn in `run`'s block
+    layout and served one scalar call at a time.
+
+    Every `_BLOCK` rounds it draws `integers(0, m, _BLOCK)`, `random(_BLOCK)`
+    and `random(_BLOCK)`.  A round is one `integers(0, m)` call, which hands
+    out the round's pick, and two `random()` calls, which hand out its
+    proposal double and then its acceptance double."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        self._rounds = iter(())
+        self._doubles = iter(())
+
+    def integers(self, low: int, high: int) -> int:
+        assert low == 0
+        round_ = next(self._rounds, None)
+        if round_ is None:
+            rng = self._rng
+            self._rounds = zip(rng.integers(0, high, _BLOCK).tolist(),
+                               rng.random(_BLOCK).tolist(), rng.random(_BLOCK).tolist())
+            round_ = next(self._rounds)
+        pick, *doubles = round_
+        self._doubles = iter(doubles)
+        return pick
+
+    def random(self) -> float:
+        return next(self._doubles)
+
+
 def reference_run(candidate_sets, spec, config) -> RunTrace:
     """`sampler.run` composed from the public step functions: `propose`,
     `delta_error`, `acceptance_probability` and `apply_delta`, one call each
-    per proposal, drawing from numpy's own `Generator` on the proposal seed."""
+    per proposal, drawing from numpy's own `Generator` on the proposal seed in
+    `run`'s block layout (`BlockDraws`)."""
     candidate_sets = list(candidate_sets)
     state = initialize(candidate_sets, spec, config.seed)
     initial_assignment = state.assignment.copy()
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    rng = BlockDraws(config.seed)
     temperature = config.l0
     best_error = state.cached_error
     best_assignment = state.assignment.copy()

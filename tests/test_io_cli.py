@@ -596,6 +596,8 @@ class TestCmdEval:
         lambda row: row[:3] + [""] + row[4:],  # an empty line id
         lambda row: row[:3] + ["L\t1"] + row[4:],  # a line id holding a tab
         lambda row: row[:3] + ["nope"] + row[4:],  # a line the network does not have
+        # a first leg that rides its line from its alight stop back to its board stop
+        lambda row: row[:4] + [row[6], row[5], row[4]] + row[7:],
     ])
     def test_bad_trip_record_exits_2(self, tmp_path, generated_inputs, capsys, edit):
         trips = generated_inputs["root"] / "day_000_working.trips"

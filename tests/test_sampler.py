@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tripforge import (
     propose,
     run,
 )
-from tripforge.sampler import _BLOCK, _ProposalStream
+from tripforge.sampler import _BLOCK
 
 from conftest import make_leg, make_stop, random_route
 from oracles import oracle_min_error, reference_run
@@ -199,36 +200,6 @@ def error_neutral_sets():
     return sets
 
 
-class TestProposalStream:
-    @pytest.mark.parametrize("m", [1, 2, 3, 1990, 2**31 + 1, 2**32])
-    def test_block_matches_generator(self, m):
-        # A block of one round of integers(0, 2) after each block takes or
-        # leaves a 32-bit half, so blocks start both with and without a saved
-        # high half; the blocks of 3 000 and 4 097 rounds span several refills
-        # of 1 024 words.  At m = 2**31 + 1 about half the 32-bit draws are
-        # rejected; at m = 1 none is made, so the doubles would shift if a
-        # word were read.
-        seed = np.random.SeedSequence(2019, spawn_key=(1,))
-        stream, generator = _ProposalStream(seed), np.random.default_rng(seed)
-
-        def same_rounds(m, count):
-            picks, firsts, seconds = stream.block(m, count)
-            assert list(zip(picks.tolist(), firsts.tolist(), seconds.tolist())) == [
-                (generator.integers(0, m), generator.random(), generator.random())
-                for _ in range(count)
-            ]
-
-        starts_saved = set()
-        for count in (1, 2, 5, 3_000, 4_097) * 2:
-            starts_saved.add(stream._high is not None)
-            same_rounds(m, count)
-            same_rounds(2, 1)
-        assert starts_saved == {False, True}
-        for bad in (0, 2**32 + 1):
-            with pytest.raises(ValueError):
-                stream.block(bad, 1)
-
-
 class TestRun:
     def test_frozen_chain_raises(self):
         rng = np.random.default_rng(10)
@@ -287,7 +258,7 @@ class TestRun:
     def test_pinned_results_on_a_fixed_instance(self):
         # A hot chain (acceptance ~0.85) on a fixed instance: the best and
         # final assignments and the error floats, the final one carried
-        # incrementally through about 2 600 accepted moves, pin the RNG stream and
+        # incrementally through about 2 500 accepted moves, pin the RNG stream and
         # the objective arithmetic bit for bit.
         rng = np.random.default_rng(2024)
         sets = make_candidate_sets(rng, n_triples=30)
@@ -298,19 +269,21 @@ class TestRun:
         )
         trace = run(sets, spec, cfg)
         assert trace.best_state.assignment.tolist() == [
-            0, 0, 2, 0, 1, 3, 0, 0, 0, 0, 0, 2, 0, 0, 0,
-            0, 0, 0, 0, 1, 0, 1, 2, 0, 2, 0, 2, 0, 1, 0,
+            0, 0, 2, 2, 0, 3, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+            0, 1, 0, 0, 2, 1, 1, 2, 0, 1, 0, 2, 0, 3, 0,
         ]
-        assert repr(trace.best_error) == "4.259170943949845"
+        assert repr(trace.best_error) == "4.292472903765702"
         # the checkpoints since the best move report the best state's own error
-        assert [repr(cp.best_error) for cp in trace.checkpoints[1:]] == ["4.259170943949845"] * 3
+        assert [repr(cp.best_error) for cp in trace.checkpoints[1:]] == [
+            "4.305751261966735", "4.292472903765702", "4.292472903765702",
+        ]
         assert trace.checkpoints[-1].best_error == trace.best_error
         assert trace.final_state.assignment.tolist() == [
-            0, 0, 3, 0, 1, 3, 0, 0, 0, 0, 1, 2, 2, 1, 0,
-            0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 2, 1,
+            0, 0, 2, 2, 0, 2, 0, 0, 0, 0, 1, 1, 2, 0, 0,
+            0, 0, 1, 0, 1, 0, 0, 2, 0, 2, 0, 1, 1, 2, 0,
         ]
-        assert repr(trace.final_state.cached_error) == "4.571569808912311"
-        assert [cp.acceptance_rate for cp in trace.checkpoints] == [0.0, 0.845, 0.866, 0.894]
+        assert repr(trace.final_state.cached_error) == "4.595403618704133"
+        assert [cp.acceptance_rate for cp in trace.checkpoints] == [0.0, 0.852, 0.779, 0.867]
 
     def test_pinned_results_on_a_prepared_day(self, prepared_grid_day):
         # 20 sweeps over a prepared working day (193 demands, 857 candidates,
@@ -323,12 +296,12 @@ class TestRun:
         trace = run(sets, spec, cfg)
         best = trace.best_state.assignment.astype("<i8").tobytes()
         assert hashlib.sha256(best).hexdigest() == (
-            "94f3479e5c007db1286a7e8fe644effd824bbe1349ced5bca1298df4e58226e5"
+            "dc913a63516e4a2dd5ca19010297280467e8bdbbf66fb735b46cd398bad615ce"
         )
-        assert repr(trace.best_error) == "0.675259067357513"
-        assert repr(trace.final_state.cached_error) == "0.675259067357513"
+        assert repr(trace.best_error) == "0.6382901554404145"
+        assert repr(trace.final_state.cached_error) == "0.6382901554404145"
         assert [cp.acceptance_rate for cp in trace.checkpoints] == [
-            0.0, 0.588, 0.124, 0.075, 0.08372093023255814,
+            0.0, 0.625, 0.157, 0.104, 0.09883720930232558,
         ]
 
     def test_eval_config_runs_the_sampler_config_chain(self):
@@ -367,19 +340,53 @@ class TestRun:
         assert len(trace.checkpoints) == 1
 
     def test_cooling_does_not_end_a_block(self, monkeypatch):
-        # 4 demands cool every 4 proposals; blocks end only at _BLOCK
-        # proposals, at a checkpoint and at the last iteration
-        counts = []
-        block = _ProposalStream.block
-        monkeypatch.setattr(_ProposalStream, "block",
-                            lambda stream, m, count: counts.append(count) or block(stream, m, count))
+        # 4 demands cool every 4 proposals; the chain still draws whole
+        # blocks of _BLOCK proposals, one `integers` call each
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def integers(self, low, high, size):
+                sizes.append(size)
+                return self._rng.integers(low, high, size)
+
         sets, spec = _random_instance(3)
         sets = [cs for cs in sets if len(cs) > 1][:4]
         cfg = SamplerConfig(iterations=50_000, seed=3)
+        # `sampler` looks the Generator up as `np.random.default_rng`
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
         run(sets, spec, cfg)
-        assert sum(counts) == cfg.iterations
-        assert len(counts) <= math.ceil(cfg.iterations / _BLOCK) + cfg.iterations // cfg.checkpoint_every
+        assert sizes == [_BLOCK] * math.ceil(cfg.iterations / _BLOCK)
 
+    def test_draws_ignore_the_checkpoint_period_and_the_chain_length(self):
+        # Blocks are drawn whole from multiples of _BLOCK, so neither the
+        # checkpoint period nor the chain's length moves a draw.
+        sets, spec = _random_instance(8)
+        cfg = SamplerConfig(iterations=10_000, seed=4, checkpoint_every=7, decay=0.9, l_min=1e-3)
+        a, b = run(sets, spec, cfg), run(sets, spec, replace(cfg, checkpoint_every=25_000))
+        assert a.best_state.assignment.tolist() == b.best_state.assignment.tolist()
+        assert a.final_state.assignment.tolist() == b.final_state.assignment.tolist()
+        assert repr(a.best_error) == repr(b.best_error)
+        assert repr(a.final_state.cached_error) == repr(b.final_state.cached_error)
+        # A chain of 4 900 proposals ends inside its second block; the chain
+        # twice as long passes the same checkpoints on its way.  A checkpoint
+        # taken since the last best move reports the best error as rebuilt,
+        # which the longer chain need not do, so that field may differ in
+        # its last bits.
+        cfg = replace(cfg, iterations=4_900, checkpoint_every=700)
+        short, long = run(sets, spec, cfg), run(sets, spec, replace(cfg, iterations=9_800))
+        lead = long.checkpoints[:len(short.checkpoints)]
+        assert [(c.iteration, c.error, c.acceptance_rate, c.temperature) for c in lead] == [
+            (c.iteration, c.error, c.acceptance_rate, c.temperature) for c in short.checkpoints
+        ]
+        assert [c.best_error for c in lead] == pytest.approx(
+            [c.best_error for c in short.checkpoints], rel=1e-12)
     def test_visits_follow_the_stationary_law(self):
         # At a fixed temperature L the chain's invariant law is
         # pi(a) ~ (err(a) + eps)^(-1/L): the proposal correction cancels the
@@ -463,7 +470,7 @@ class TestRunMatchesReference:
         self.assert_same(sets, spec, cfg)
 
     def test_one_eligible_demand(self):
-        # integers(0, 1) reads no word, so the stream is all acceptance draws
+        # every pick is the one eligible demand
         sets, spec = _random_instance(3)
         sets = [cs for cs in sets if len(cs) == 1] + [next(cs for cs in sets if len(cs) > 1)]
         self.assert_same(sets, spec, SamplerConfig(iterations=1_000, seed=2, checkpoint_every=300))
@@ -487,12 +494,12 @@ class TestRunMatchesReference:
         cfg = SamplerConfig(iterations=10 * len(sets), seed=5, checkpoint_every=600)
         self.assert_same(sets, spec, cfg)
 
-    # `run` draws its proposals in segments that end at a checkpoint, the
-    # last iteration or after _BLOCK proposals.
+    # `run` loops over its blocks in segments that end at a checkpoint, the
+    # last iteration or the end of a block of _BLOCK proposals.
 
     def test_iterations_off_every_boundary(self):
-        # 39 demands: a sweep of odd length hands a saved high half to the
-        # next block
+        # 39 demands: sweeps, checkpoints and blocks all end at different
+        # proposals
         sets, spec = _random_instance(3)
         sets = sets[:39]
         self.assert_same(sets, spec, SamplerConfig(iterations=2_345, seed=6, checkpoint_every=600))
