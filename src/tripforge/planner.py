@@ -17,18 +17,22 @@ at least that residue.  Service windows only remove departures, so the sum
 stays a lower bound (the A* admissibility argument of Hart, Nilsson and
 Raphael, 1968).  Realization stops as soon as no unseen skeleton can beat the
 k-th realized route, so the returned ranking is exact; the only limit on the
-route space is the cap of MAX_LEGS legs.  Transfer options and leg records
-are tabled once per network, and a caller keeping one route builds one Route.
+route space is the cap of MAX_LEGS legs.  Legs are tabled once per network,
+each origin's skeletons are filed as machine integers with a fixed tie order
+(see _SkeletonCache), and a caller keeping one route builds one Route.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
+
+import numpy as np
 
 from .model import Leg, ODTriple, Route, Stop, great_circle_m
 
@@ -156,75 +160,77 @@ class _NetworkIndex:
                     nbrs.append((j, int(math.ceil(d / walk_speed))))
             self.walk.append(nbrs)
 
-        # skeleton key fields, low to high: walk_s, alight_pos, board_pos, line,
-        # node, then the bound at `shift`; a node is a path of fewer than
-        # MAX_LEGS legs, so there are fewer than n_legs ** (MAX_LEGS - 1) nodes
-        w = max((s for nbrs in self.walk for _, s in nbrs), default=0).bit_length()
-        p = max((len(s) - 1 for s in self.line_stops), default=0).bit_length()
-        self.key_offsets = (0, w, w + p, w + 2 * p, w + 2 * p + (len(net.lines) - 1).bit_length())
-        node_bits = sum(len(s) * (len(s) - 1) // 2 for s in self.line_stops).bit_length()
-        self.shift = self.key_offsets[-1] + (MAX_LEGS - 1) * node_bits
-
-        self.options = self._transfer_options()
+        self.entries = self._last_legs()
         self.skeletons: dict[int, _SkeletonCache] = {}  # by origin
 
-    def _transfer_options(self) -> list[list[tuple]]:
+    def _last_legs(self) -> list[list[tuple]]:
         """Per arrival state, the legs a search can take next.  State s <
         len(stops) is the first leg from stop s; (line, alight position) pairs
-        follow in line order.  An option is (board stop bit, bound added, key
-        low bits, hops), in search order; the bound adds the walk, the
-        transfer penalty and the least wait (see the module docstring).  A hop
-        is (alight stop bit, alight stop, ride seconds, key part, node legs
-        added, next state)."""
-        shift = self.shift
-        _, apos_at, pos_at, line_at, _ = self.key_offsets
+        follow in line order.  An entry is (board|alight stop mask, bound
+        added, entry id, alight stop bit, next state), in search order; the
+        bound adds the walk, the transfer penalty, the least wait (see the
+        module docstring) and the ride.  Ids number each state's entries in
+        (line, board pos, alight pos, walk) order, after the earlier states';
+        steps[id] is (line, board pos, alight pos, walk_s, legs record) and
+        adds[id] the bound added, also in add_array with alight_array."""
         boardings: list[list[tuple[int, int]]] = [[] for _ in self.walk]
         for li, stops in enumerate(self.line_stops):
             for pos, si in enumerate(stops[:-1]):
                 boardings[si].append((li, pos))
         # the state of (li, apos) is base[li] + apos
         base = list(accumulate((len(s) - 1 for s in self.line_stops), initial=len(self.walk) - 1))
-
-        @cache  # options boarding one line at one position after one walk share their hops
-        def hops(li: int, pos: int, walk_s: int) -> tuple:
-            stops, legs = self.line_stops[li], self.legs[li][pos]
-            return tuple((1 << stops[a], stops[a], legs[a][3], legs[a][3] << shift | a << apos_at,
-                          (li, pos, a, walk_s), base[li] + a) for a in range(pos + 1, len(stops)))
+        self.steps, self.adds = [], []  # by entry id
 
         def at(nbrs, prev_line: int, headway: int, arrive: int, transfer_s: int) -> list[tuple]:
-            out = []
+            # (step, bound added, board stop, alight stop, next state); a line
+            # that visits a stop twice has no leg from that stop to itself
+            found = []
             for nb, walk_s in nbrs:
                 for li, pos in boardings[nb]:
                     if li != prev_line:
                         gcd = math.gcd(headway, self.headways[li])
                         wait_s = (self.phase[li][pos] - arrive - walk_s) % gcd
-                        out.append((1 << nb, walk_s + transfer_s + wait_s,
-                                    li << line_at | pos << pos_at | walk_s, hops(li, pos, walk_s)))
-            return out
+                        stops, legs = self.line_stops[li], self.legs[li][pos]
+                        found += [((li, pos, a, walk_s, legs[a]), walk_s + transfer_s + wait_s
+                                   + legs[a][3], nb, stops[a], base[li] + a)
+                                  for a in range(pos + 1, len(stops)) if stops[a] != nb]
+            ranked = sorted(found)  # steps differ before their legs record
+            ids = {id(f[0]): len(self.steps) + i for i, f in enumerate(ranked)}
+            self.steps += [f[0] for f in ranked]
+            self.adds += [f[1] for f in ranked]
+            return [(1 << nb | 1 << alight, add, ids[id(step)], 1 << alight, state)
+                    for step, add, nb, alight, state in found]
 
         # a first leg waits for no earlier line: a headway of 1 bounds no wait
-        options = [at(((origin, 0),), -1, 1, 0, 0) for origin in range(len(self.walk))]
-        options += [at(self.walk[stops[apos]], li, self.headways[li], self.phase[li][apos],
+        entries = [at(((origin, 0),), -1, 1, 0, 0) for origin in range(len(self.walk))]
+        entries += [at(self.walk[stops[apos]], li, self.headways[li], self.phase[li][apos],
                        self.transfer_penalty_s)
                     for li, stops in enumerate(self.line_stops) for apos in range(1, len(stops))]
-        return options
+        # a bound sums at most MAX_LEGS adds: int64 unless rides last aeons
+        wide = MAX_LEGS * max(self.adds, default=0) >> 63
+        self.add_array = np.array(self.adds, dtype=object if wide else np.int64)
+        self.alight_array = np.array([self.line_stops[li][a] for li, _, a, *_ in self.steps])
+        return entries
 
 
 @dataclass
 class _SkeletonCache:
     """Every skeleton from one origin of at most MAX_LEGS legs.
 
-    A skeleton is a flat int tuple (bound, line, board_pos, alight_pos,
-    walk_s, line, ...), walk_s being the walk to the leg's board stop and
-    bound the wait-aware lower bound on its realized generalized cost (see
-    the module docstring).  by_dest[d] files those ending at stop d as sorted
-    int keys, so in bound order: bound << _NetworkIndex.shift over the node
-    (an index into nodes, which holds the flat legs before the last) and the
-    last leg, at _NetworkIndex.key_offsets.
+    A skeleton is the tuple of its legs' entry ids (see _NetworkIndex._last_legs);
+    its bound, the wait-aware lower bound on its realized generalized cost
+    (see the module docstring), sums their adds.  nodes[n] is a path the
+    search extended (node 0 is the empty path) and bounds[n] its bound.
+    by_dest[d] files the skeletons ending at stop d as int64 codes, node *
+    len(index.steps) + last entry id, sorted by (bound, node, entry id): equal
+    bounds are realized by the path they extend, in search order, then by the
+    last leg's (line, board pos, alight pos, walk).  The ranking keeps that
+    order among equal (cost, legs, identity), as on a line visiting a stop twice.
     """
 
-    by_dest: list[list[int]]
+    by_dest: list[array]
     nodes: list[tuple[int, ...]]
+    bounds: list[int]
 
 
 def _search_origin(index: _NetworkIndex, origin: int) -> _SkeletonCache:
@@ -236,36 +242,35 @@ def _search_origin(index: _NetworkIndex, origin: int) -> _SkeletonCache:
     skeleton of its last alighting stop unless an earlier leg alighted there:
     a route ends at its destination.
     """
-    node_at = index.key_offsets[-1]
-    shift = index.shift
-    options = index.options
-    by_dest: list[list[int]] = [[] for _ in index.walk]
-    nodes: list[tuple[int, ...]] = [()]
-    # (bound, arrival state, node of the path, boarded mask, alighted mask)
-    stack: list = [(0, origin, 0, 0, 0)]
+    entries, n_entries = index.entries, len(index.steps)
+    found = array("q")  # node * n_entries + last entry id, per skeleton
+    nodes, bounds = [()], [0]  # per node: its path's entry ids, its bound
+    # (arrival state, node of the path, boarded mask, alighted mask)
+    stack: list = [(origin, 0, 0, 0)]
     while stack:
-        bound, state, node, boarded, alighted = stack.pop()
-        legs = nodes[node]
-        extend = len(legs) < 4 * MAX_LEGS - 4
-        node_key = node << node_at
-        for board_bit, bound_add, low, hops in options[state]:
-            if boarded & board_bit:
+        state, node, boarded, alighted = stack.pop()
+        path, bound = nodes[node], bounds[node]
+        extend = len(path) < MAX_LEGS - 1
+        code = node * n_entries
+        for mask, add, entry, alight_bit, next_state in entries[state]:
+            if boarded & mask:
                 continue
-            base = bound + bound_add
-            key = base << shift | node_key | low
-            now_boarded = boarded | board_bit
-            for alight_bit, alight, ride_s, hop_key, leg, next_state in hops:
-                if now_boarded & alight_bit:
-                    continue
-                if not alighted & alight_bit:
-                    by_dest[alight].append(key + hop_key)
-                if extend:
-                    stack.append((base + ride_s, next_state, len(nodes),
-                                  now_boarded, alighted | alight_bit))
-                    nodes.append(legs + leg)
-    for keys in by_dest:
-        keys.sort()
-    return _SkeletonCache(by_dest, nodes)
+            if not alighted & alight_bit:
+                found.append(code + entry)
+            if extend:
+                stack.append((next_state, len(nodes), boarded | mask ^ alight_bit,
+                              alighted | alight_bit))
+                nodes.append(path + (entry,))
+                bounds.append(bound + add)
+    # both factors of a code count objects held in memory, so it fits int64
+    codes = np.frombuffer(found, dtype=np.int64)
+    node, entry = np.divmod(codes, n_entries)
+    dest = index.alight_array[entry]
+    bound = np.array(bounds, dtype=index.add_array.dtype)[node] + index.add_array[entry]
+    order = np.lexsort((codes, bound, dest))
+    cuts = np.searchsorted(dest[order], np.arange(1, len(index.walk)))
+    by_dest = [array("q", part.tobytes()) for part in np.split(codes[order], cuts)]
+    return _SkeletonCache(by_dest, nodes, bounds)
 
 
 def _realize(index: _NetworkIndex, skeleton: tuple[int, ...], depart_time: int) -> list[int] | None:
@@ -274,10 +279,10 @@ def _realize(index: _NetworkIndex, skeleton: tuple[int, ...], depart_time: int) 
     departure of its line."""
     times: list[int] = []
     t = depart_time
-    legs = index.legs
-    for i in range(1, len(skeleton), 4):
-        first, last, headway, ride_s, _, _ = legs[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]]
-        t += skeleton[i + 3]
+    steps = index.steps
+    for entry in skeleton:
+        _, _, _, walk_s, (first, last, headway, ride_s, _, _) = steps[entry]
+        t += walk_s
         if t <= first:
             dep = first
         else:
@@ -291,10 +296,10 @@ def _realize(index: _NetworkIndex, skeleton: tuple[int, ...], depart_time: int) 
 
 def _route(net: TransitNetwork, skeleton: tuple[int, ...], times: list[int]) -> Route:
     legs = []
-    records = net._index.legs
-    for i in range(1, len(skeleton), 4):
-        board, alight, line_id, distance = records[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]][5]
-        legs.append(Leg(board, alight, times[i // 2], times[i // 2 + 1], line_id, distance))
+    steps = net._index.steps
+    for i, entry in enumerate(skeleton):
+        board, alight, line_id, distance = steps[entry][4][5]
+        legs.append(Leg(board, alight, times[2 * i], times[2 * i + 1], line_id, distance))
     return Route(legs=tuple(legs))
 
 
@@ -334,20 +339,16 @@ def _ranked(
     # unranked.  The cost is trip time plus the penalty per transfer, as a
     # double; the identity is Route.identity as a list.
     penalty = index.transfer_penalty_s
-    legs = index.legs
+    steps, adds, n_entries = index.steps, index.adds, len(index.steps)
+    nodes, bounds = cache.nodes, cache.bounds
     depart_time = triple.depart_time
-    shift, nodes = index.shift, cache.nodes
-    _, apos_at, pos_at, line_at, node_at = offsets = index.key_offsets
-    walk_mask, pos_mask, _, line_mask = [(1 << hi - lo) - 1 for lo, hi in zip(offsets, offsets[1:])]
-    node_mask = (1 << shift - node_at) - 1
     realized: list[tuple[float, int, list, tuple[int, ...], list[int]]] = []
     kth = math.inf  # the k-th realized cost, once there are k
-    for key in cache.by_dest[d]:
-        bound = key >> shift
-        if kth < bound:
+    for code in cache.by_dest[d]:
+        node, entry = divmod(code, n_entries)
+        if kth < bounds[node] + adds[entry]:
             break
-        skeleton = (bound, *nodes[key >> node_at & node_mask], key >> line_at & line_mask,
-                    key >> pos_at & pos_mask, key >> apos_at & pos_mask, key & walk_mask)
+        skeleton = nodes[node] + (entry,)
         times = _realize(index, skeleton, depart_time)
         if times is None:
             continue
@@ -355,8 +356,7 @@ def _ranked(
         cost = float(times[-1] - times[0]) + penalty * (n_legs - 1)
         if cost > kth:
             continue
-        identity = [legs[skeleton[i]][skeleton[i + 1]][skeleton[i + 2]][4]
-                    for i in range(1, len(skeleton), 4)]
+        identity = [steps[e][4][4] for e in skeleton]
         bisect.insort(realized, (cost, n_legs, identity, skeleton, times), key=_RANK)
         if len(realized) >= k:
             kth = realized[k - 1][0]

@@ -1,8 +1,13 @@
 import gc
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +156,44 @@ class TestKTopRoutes:
                         h.update((",".join(map(str, row)) + "\n").encode())
         assert h.hexdigest() == "1acecc632b3ea11d7192ffb8db14476b84cf5b2ee19164a40be6e3bcc621f8e6"
 
+    def test_line_visiting_stops_twice(self):
+        # loop and its reverse visit s0 and s1 twice, so two legs can share
+        # an identity and a cost and differ only in their clock times; x runs
+        # every 60 s, so routes that transfer onto it at s0 from either visit
+        # tie too.  The sha256 of every leg pins which of them each k=5
+        # ranking keeps, and in which order.
+        pts = {"s0": (0, 0), "s1": (3000, 0), "s2": (3000, 3000), "s3": (6000, 0),
+               "s4": (0, -3000), "s5": (3500, 3300)}
+        stops = {sid: grid_stop(sid, x, y) for sid, (x, y) in pts.items()}
+
+        def line(line_id, ids, **timetable):
+            return simple_line(line_id, [stops[sid] for sid in ids.split()], **timetable)
+
+        net = TransitNetwork(stops=tuple(stops.values()), lines=(
+            line("loop", "s0 s1 s2 s0 s1 s3", ride_s=420, headway=600),
+            line("loopr", "s3 s1 s0 s2 s1 s0", ride_s=420, headway=600),
+            line("x", "s4 s0 s5", ride_s=500, headway=60, first=6 * 3600 + 120),
+            line("xr", "s5 s0 s4", ride_s=500, headway=60, first=6 * 3600 + 120),
+        ))
+        h = hashlib.sha256()
+        for o in net.stops:
+            for d in net.stops:
+                if o == d:
+                    continue
+                for depart in range(6 * 3600, 22 * 3600, 317):
+                    triple = ODTriple(origin=o, destination=d, depart_time=depart, demand_id="l")
+                    got = k_top_routes(net, triple, k=5)
+                    expected = oracle_enumerate_routes(net, triple)[:5]
+                    assert [r.identity for r in got] == [r.identity for r in expected]
+                    assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
+                    for rank, route in enumerate(got):
+                        for leg in route.legs:
+                            row = [o.stop_id, d.stop_id, depart, rank, leg.line_id,
+                                   leg.board_stop.stop_id, leg.board_time,
+                                   leg.alight_stop.stop_id, leg.alight_time]
+                            h.update((",".join(map(str, row)) + "\n").encode())
+        assert h.hexdigest() == "124126f564be24dd4050ce588894ef42058ed3c5f30d9af9dde2b90d29073da9"
+
     def test_queried_network_can_be_freed(self, two_line_net):
         net = TransitNetwork(stops=two_line_net.stops, lines=two_line_net.lines)
         triple = ODTriple(origin=net.stops[0], destination=net.stops[1],
@@ -287,14 +330,19 @@ class TestSharedSearch:
         h = hashlib.sha256()
         for origin in range(len(net.stops)):
             cache = planner._search_origin(net._index, origin)
-            assert all(keys == sorted(keys) for keys in cache.by_dest)
-            by_dest = [sorted(skeleton_of(net._index, cache, key) for key in keys)
-                       for keys in cache.by_dest]
+            by_dest = []
+            for codes in cache.by_dest:
+                # filed by bound, then node, then last entry id
+                order = [(skeleton_of(net._index, cache, code)[0], code) for code in codes]
+                assert order == sorted(order)
+                by_dest.append(sorted((bound, *flat_legs(net._index, skeleton)) for bound, skeleton
+                                      in (skeleton_of(net._index, cache, code) for code in codes)))
             h.update(repr(by_dest).encode())
         assert h.hexdigest() == "452e993ed874c8df09dc039f6042324552775bb919da52ccc30265a07efd0730"
 
     def test_skeleton_store_stays_small(self):
-        # The 212 064 skeletons; filed as flat 13-int tuples they took 38 MB.
+        # The 212 064 skeletons: as flat int tuples of 5 to 13 fields they
+        # took 38.9 MB, as one packed Python int key each 10.4 MB.
         net = build_grid_network(rows=5, cols=6, seed=0)
         index = net._index
         tracemalloc.start()
@@ -303,8 +351,31 @@ class TestSharedSearch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(len(keys) for cache in caches for keys in cache.by_dest) == 212_064
-        assert peak <= 16e6
+        assert sum(len(codes) for cache in caches for codes in cache.by_dest) == 212_064
+        assert peak <= 6e6
+
+    def test_larger_grid_store_stays_small(self):
+        # Every origin of the 8x10 grid, in a fresh process so that its peak
+        # RSS is the search's own: the packed Python int keys added 246 MB.
+        script = textwrap.dedent("""
+            import resource
+            from tripforge import build_grid_network, planner
+            index = build_grid_network(rows=8, cols=10, seed=0)._index
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            for origin in range(len(index.walk)):
+                index.skeletons[origin] = planner._search_origin(index, origin)
+            grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            print(sum(len(c) for cache in index.skeletons.values() for c in cache.by_dest), grown_kb)
+        """)
+        src = str(Path(planner.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        n_skeletons, grown_kb = map(int, done.stdout.split())
+        assert n_skeletons == 4_347_172
+        assert grown_kb <= 100 * 1024
 
     def test_od_pool_searches_each_origin_once(self, searches):
         cfg = SynthConfig(network=build_grid_network(rows=5, cols=6, seed=0), days=1,
@@ -370,23 +441,25 @@ class TestPlannerProperties:
             assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
 
 
-def skeleton_of(index, cache, key) -> tuple[int, ...]:
-    """The flat tuple (bound, line, board_pos, alight_pos, walk_s, line, ...)
-    that a skeleton key files: the bound above index.shift, the legs of the
-    cache's node it names, then its last leg's fields at the index's key
-    offsets."""
-    offsets = (*index.key_offsets, index.shift)
-    walk_s, apos, pos, line, node = (
-        (key >> lo) & ((1 << (hi - lo)) - 1) for lo, hi in zip(offsets, offsets[1:])
-    )
-    return (key >> index.shift, *cache.nodes[node], line, pos, apos, walk_s)
+def skeleton_of(index, cache, code) -> tuple[int, tuple[int, ...]]:
+    """(bound, entry ids) of the skeleton a code files: the path of the
+    cache's node it names, then its last entry; the bound is the node's
+    plus that entry's add."""
+    node, entry = divmod(code, len(index.steps))
+    return cache.bounds[node] + index.adds[entry], cache.nodes[node] + (entry,)
 
 
-def static_cost(net, skeleton) -> int:
-    """Rides, walks and transfer penalties of a skeleton, from the lines."""
-    cost = net.transfer_penalty_s * ((len(skeleton) - 1) // 4 - 1)
-    for i in range(1, len(skeleton), 4):
-        li, pos, apos, walk_s = skeleton[i : i + 4]
+def flat_legs(index, skeleton) -> tuple[int, ...]:
+    """(line, board_pos, alight_pos, walk_s, line, ...) of a skeleton's legs."""
+    return tuple(field for entry in skeleton for field in index.steps[entry][:4])
+
+
+def static_cost(net, legs) -> int:
+    """Rides, walks and transfer penalties of a skeleton's flat legs, from
+    the lines."""
+    cost = net.transfer_penalty_s * (len(legs) // 4 - 1)
+    for i in range(0, len(legs), 4):
+        li, pos, apos, walk_s = legs[i : i + 4]
         cost += sum(net.lines[li].seg_ride_s[pos:apos]) + walk_s
     return cost
 
@@ -399,10 +472,9 @@ class TestWaitBound:
         departs = data.draw(st.lists(st.integers(0, 86_399), min_size=1, max_size=6))
         index = net._index
         cache = planner._search_origin(index, origin)
-        for keys in cache.by_dest:
-            for skeleton in (skeleton_of(index, cache, key) for key in keys):
-                bound = skeleton[0]
-                assert static_cost(net, skeleton) <= bound
+        for codes in cache.by_dest:
+            for bound, skeleton in (skeleton_of(index, cache, code) for code in codes):
+                assert static_cost(net, flat_legs(index, skeleton)) <= bound
                 for depart in departs:
                     times = planner._realize(index, skeleton, depart)
                     if times is not None:
@@ -430,14 +502,15 @@ class TestSkeletonKeys:
         positions, walks_s = set(), set()
         for origin in (0, 280, 299, 301):
             cache = planner._search_origin(index, origin)
-            for dest, keys in enumerate(cache.by_dest):
-                for key in keys:
-                    skeleton = skeleton_of(index, cache, key)
-                    assert skeleton[0] == key >> index.shift
-                    assert static_cost(net, skeleton) <= skeleton[0]
+            for dest, codes in enumerate(cache.by_dest):
+                for code in codes:
+                    bound, skeleton = skeleton_of(index, cache, code)
+                    assert bound == sum(index.adds[entry] for entry in skeleton)
+                    legs = flat_legs(index, skeleton)
+                    assert static_cost(net, legs) <= bound
                     at, walks = origin, [(origin, 0)]
-                    for i in range(1, len(skeleton), 4):
-                        li, pos, apos, walk_s = skeleton[i : i + 4]
+                    for i in range(0, len(legs), 4):
+                        li, pos, apos, walk_s = legs[i : i + 4]
                         assert 0 <= li < len(net.lines)
                         stops = index.line_stops[li]
                         assert 0 <= pos < apos < len(stops)
@@ -449,6 +522,25 @@ class TestSkeletonKeys:
                     assert at == dest
         assert max(positions) > 255
         assert max(walks_s) > 65_535
+
+    def test_bounds_wider_than_int64(self):
+        # rides of 2**62 s, with bc running when ab arrives: the bound of
+        # ab then bc passes int64, so the search sorts bounds as Python ints
+        a, b, c = (grid_stop(sid, 5000.0 * i) for i, sid in enumerate("abc"))
+        day = {"first": 6 * 3600, "last": 22 * 3600}
+        later = {"first": 2**62, "last": 2**62 + 86_400}
+        lines = [simple_line(f"{x.stop_id}{y.stop_id}", [x, y], ride_s=ride_s, **window)
+                 for p, q, ride_s, window in ((a, b, 2**62, day), (b, c, 2**62, later),
+                                              (a, c, 3 * 2**62, day))
+                 for x, y in ((p, q), (q, p))]
+        net = TransitNetwork(stops=(a, b, c), lines=tuple(lines))
+        assert net._index.add_array.dtype == object
+        triple = ODTriple(origin=a, destination=c, depart_time=7 * 3600, demand_id="w")
+        expected = oracle_enumerate_routes(net, triple)
+        got = k_top_routes(net, triple, k=5)
+        assert [r.identity for r in got] == [r.identity for r in expected]
+        assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
+        assert [[leg.line_id for leg in r.legs] for r in got] == [["ab", "bc"], ["ac"]]
 
     @pytest.mark.parametrize("origin, dest", [(0, 301), (280, 301), (301, 299), (5, 299)])
     def test_long_line_routes_equal_exhaustive_enumeration(self, long_line_net, origin, dest):
