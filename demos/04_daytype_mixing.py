@@ -10,8 +10,7 @@ weekends.
 from tripforge import EvalConfig, SynthConfig, build_grid_network, daytype_mix_eval, generate_collection
 
 net = build_grid_network(rows=4, cols=5, seed=0)
-cfg = SynthConfig(network=net, days=14, trips_per_day=2000, od_pool_size=200,
-                  start_weekday=5, seed=9)
+cfg = SynthConfig(network=net, days=14, trips_per_day=2000, od_pool_size=200, seed=9)
 collection = generate_collection(cfg)
 print("day types:", " ".join(d.day_type[:4] for d in collection.days))
 

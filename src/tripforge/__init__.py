@@ -73,7 +73,6 @@ from .sampler import (
     RunTrace,
     SamplerConfig,
     acceptance_probability,
-    draw_assignment,
     initialize,
     propose,
     run,
@@ -83,7 +82,6 @@ from .synth import (
     SynthCollection,
     SynthConfig,
     SynthError,
-    TimeProfile,
     build_grid_network,
     generate_collection,
     generate_day,

@@ -37,9 +37,7 @@ def _reanchor(route: Route, depart_time: int) -> Route:
 
 
 def history_lookup(
-    hist: TripHistory,
-    triple: ODTriple,
-    slot_width: int = 1200,
+    hist: TripHistory, triple: ODTriple, slot_width: int
 ) -> list[tuple[Route, int]]:
     """History routes matching the demand's stops within +-slot_width seconds
     of its departure, one per route identity with its frequency, ranked by
@@ -67,7 +65,7 @@ def build_candidate_set(
     triple: ODTriple,
     planner_routes: list[Route],
     history_routes: list[tuple[Route, int]],
-    lambda_mix: float = 0.5,
+    lambda_mix: float,
 ) -> CandidateSet:
     """Merge the two route sources into one weighted candidate set.
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -28,19 +29,32 @@ class ConfigError(ValueError):
 # Synth config file: line-oriented "key value" pairs.
 # ---------------------------------------------------------------------------
 
-# Config keys of the grid network and the `build_grid_network` argument each sets.
-_GRID_KEYS = {"grid_rows": "rows", "grid_cols": "cols", "grid_spacing_m": "spacing_m",
-              "network_seed": "seed"}
+# The `build_grid_network` arguments and the config key that sets each.
+_GRID_KEYS = {"rows": "grid_rows", "cols": "grid_cols", "spacing_m": "grid_spacing_m",
+              "seed": "network_seed"}
 # The numeric config keys and their annotated types, "int" or "float": the
 # SynthConfig fields and the grid network's arguments.
 _SYNTH_NUMBERS = {f.name: f.type for f in dataclasses.fields(SynthConfig)
                   if f.type in ("int", "float")}
 _SYNTH_NUMBERS.update((key, build_grid_network.__annotations__[arg])
-                      for key, arg in _GRID_KEYS.items())
+                      for arg, key in _GRID_KEYS.items())
+
+
+def _located(path, lines: dict[str, int], exc: ValueError, keys=None) -> io.FormatError:
+    """A message that starts with a setting's name, then " must" or ":", is
+    reported at that setting's line, under its config key if `keys` maps the
+    name to one; any other message keeps the bare path."""
+    message = str(exc)
+    match = re.match(r"\w+(?= must|:)", message)
+    key = (keys or {}).get(match[0], match[0]) if match else None
+    if key not in lines:
+        return io.FormatError(path, None, message)
+    return io.FormatError(path, lines[key], key + message[match.end():])
 
 
 def parse_synth_config(path) -> SynthConfig:
-    raw: dict[str, str] = {}
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}  # each key's line
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -50,48 +64,34 @@ def parse_synth_config(path) -> SynthConfig:
         if len(parts) != 2:
             raise io.FormatError(path, lineno, f"expected 'key value', got {line!r}")
         key, value = parts
-        if key in raw:
+        if key in lines:
             raise io.FormatError(path, lineno, f"duplicate key {key!r}")
-        raw[key] = value
-
-    values: dict[str, object] = {}
-    for key, value in raw.items():
         kind = _SYNTH_NUMBERS.get(key)
-        if kind == "int":
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"field {key!r}: expected integer, got {value!r}") from None
-        elif kind == "float":
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"field {key!r}: expected number, got {value!r}") from None
-        elif key in ("network", "day_types"):
-            values[key] = value
-        else:
-            raise ConfigError(f"unknown field {key!r}")
+        if kind is None and key not in ("network", "day_types"):
+            raise io.FormatError(path, lineno, f"unknown field {key!r}")
+        try:
+            values[key] = {"int": int, "float": float}.get(kind, str)(value)
+        except ValueError:
+            raise io.FormatError(path, lineno, f"{key}: expected {kind}, got {value!r}") from None
+        lines[key] = lineno
 
-    grid = {arg: values.pop(key) for key, arg in _GRID_KEYS.items() if key in values}
+    grid = {arg: values.pop(key) for arg, key in _GRID_KEYS.items() if key in values}
     if "network" in values:
+        if grid:
+            lineno, key = min((lines[key], key) for key in _GRID_KEYS.values() if key in lines)
+            raise io.FormatError(path, lineno, f"{key} does not apply beside 'network'")
         network = io.read_network(values.pop("network"))
     else:
         try:
             network = build_grid_network(**grid)
         except ValueError as exc:
-            # Its messages start with the argument's name; report the key instead.
-            arg, _, rest = str(exc).partition(" ")
-            key = next((k for k, a in _GRID_KEYS.items() if a == arg), None)
-            raise ConfigError(f"{key} {rest}" if key else f"grid network: {exc}") from None
-
-    day_types = values.pop("day_types", None)
-    if day_types is not None:
-        day_types = tuple(day_types.split(","))
-
+            raise _located(path, lines, exc, _GRID_KEYS) from None
+    if "day_types" in values:
+        values["day_types"] = tuple(values["day_types"].split(","))
     try:
-        return SynthConfig(network=network, day_types=day_types, **values)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+        return SynthConfig(network=network, **values)
+    except ValueError as exc:
+        raise _located(path, lines, exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,6 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l0", type=float, default=d.l0, help="initial temperature")
     p.add_argument("--l-min", dest="l_min", type=float, default=d.l_min, help="temperature floor")
     p.add_argument("--checkpoint-every", type=int, default=d.checkpoint_every, help="trace sampling period")
-    p.add_argument("--epsilon", type=float, default=d.epsilon, help="objective stabilizer near zero")
     p.add_argument("--planner-k", type=int, default=d.planner_k, help="planner recommendations per demand")
     p.add_argument("--lambda-mix", type=float, default=d.lambda_mix, help="planner share of candidate mass")
     p.add_argument("--slot-width", dest="slot_width_s", metavar="SLOT_WIDTH", type=int,

@@ -4,7 +4,8 @@ working-day/weekend pooling comparison.
 
 Targets and candidate histories for a test day are built strictly from
 earlier days; the test day's observed routes enter only the final report.
-A day can be tested when an earlier day of its own type holds a trip.
+A day can be tested when it has demand and an earlier day of its own type
+holds a trip.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .metrics import (
     FULL_TIME,
     TRANSFER_TIME,
 )
-from .model import WORKING, CandidateSet, Route
+from .model import SECONDS_PER_DAY, WORKING, CandidateSet, Route
 from .planner import TransitNetwork, k_top_routes
 from .sampler import RunTrace, SamplerConfig, run
 from .synth import DayData, SynthCollection
@@ -220,7 +221,7 @@ def build_candidates(
         planner_routes = k_top_routes(network, triple, k=cfg.planner_k)
         hist_routes = history_lookup(history, triple, cfg.slot_width_s)
         if not planner_routes and not hist_routes:
-            hist_routes = history_lookup(history, triple, 86_400)
+            hist_routes = history_lookup(history, triple, SECONDS_PER_DAY)
         if not planner_routes and not hist_routes:
             dropped.append(triple.demand_id)
             continue
@@ -234,11 +235,12 @@ def build_candidates(
 
 def _target_days(collection: SynthCollection, test: DayData) -> list[DayData]:
     """The earlier days of the test day's type that hold trips: the days its
-    targets learn from.  A day can be tested when this is not empty; the
-    protocols test exactly those days.  Reads no route of the test day."""
+    targets learn from; none for a day without demand.  A day can be tested
+    when this is not empty; the protocols test exactly those days.  Reads no
+    route of the test day."""
     return [
         d for d in collection.days
-        if d.day < test.day and d.day_type == test.day_type and d.routes
+        if test.triples and d.day < test.day and d.day_type == test.day_type and d.routes
     ]
 
 
@@ -255,6 +257,8 @@ def prepare_day(
     the desired distributions, not which routes exist.
     """
     test = collection.day(test_day)
+    if not test.triples:
+        raise EvalError(f"day {test_day} has no demand to generate trips for")
     prior_target = _target_days(collection, test)
     if not prior_target:
         raise EvalError(f"day {test_day}: no earlier {test.day_type} day with trips to learn from")

@@ -548,8 +548,12 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
     stops_by_id = {s.stop_id: s for s in network.stops}
     line_stops = {line.line_id: line.stop_ids for line in network.lines}
     days = []
+    seen: dict[int, Path] = {}  # day -> its trips file
     for trips_path in sorted(root.glob("day_*.trips")):
         day, day_type = parse_day_file_name(trips_path)
+        if day in seen:
+            raise FormatError(trips_path, None, f"day {day} is also in {seen[day]}")
+        seen[day] = trips_path
         records = read_trips(trips_path, stops_by_id, line_stops)
         demand_path = root / f"{trips_path.stem}.demand"
         if not demand_path.exists():

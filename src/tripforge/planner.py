@@ -303,7 +303,7 @@ def _route(net: TransitNetwork, skeleton: tuple[int, ...], times: list[int]) -> 
     return Route(legs=tuple(legs))
 
 
-def k_top_routes(net: TransitNetwork, triple: ODTriple, k: int = 5) -> list[Route]:
+def k_top_routes(net: TransitNetwork, triple: ODTriple, k: int) -> list[Route]:
     """Up to k loopless routes of at most MAX_LEGS legs for the demand,
     ranked by generalized cost.
 

@@ -37,6 +37,8 @@ from .metrics import _RESYNC_EVERY, ChainState, MismatchSpec
 
 # The most proposals `run` draws in one block.
 _BLOCK = 4096
+# Added to both errors of an acceptance ratio, so that a zero error stays finite.
+_EPSILON = 1e-9
 
 
 class FrozenChainError(RuntimeError):
@@ -45,8 +47,7 @@ class FrozenChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """The chain's settings: length, seed, trace period, schedule and
-    objective stabilizer.
+    """The chain's settings: length, seed, trace period and schedule.
 
     The temperature starts at `l0` and is multiplied by `decay` once per
     sweep, down to `l_min`.  These defaults cool hard within a few sweeps:
@@ -60,7 +61,6 @@ class SamplerConfig:
     l0: float = 1.0
     decay: float = 0.05
     l_min: float = 1e-6
-    epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -75,8 +75,6 @@ class SamplerConfig:
             raise ValueError(f"l_min must be finite and positive, got {self.l_min}")
         if not (math.isfinite(self.l0) and self.l0 >= self.l_min):
             raise ValueError(f"l0 must be finite and at least l_min, got {self.l0}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -162,13 +160,10 @@ def propose(state: ChainState, rng) -> tuple[int, int, float]:
 
 
 def acceptance_probability(
-    err_curr: float,
-    err_cand: float,
-    weight_ratio: float,
-    temperature: float,
-    epsilon: float = 1e-9,
+    err_curr: float, err_cand: float, weight_ratio: float, temperature: float
 ) -> float:
-    """min{1, weight_ratio * ((err_curr + eps)/(err_cand + eps))^(1/L)}.
+    """min{1, weight_ratio * ((err_curr + eps)/(err_cand + eps))^(1/L)}, with
+    eps = `_EPSILON`.
 
     weight_ratio is the proposal correction q(current | candidate) /
     q(candidate | current).  Evaluated in log space: the exponent is only
@@ -179,7 +174,7 @@ def acceptance_probability(
     if weight_ratio <= 0.0:
         raise ValueError("weight_ratio must be positive")
     log_alpha = math.log(weight_ratio) + (
-        math.log(err_curr + epsilon) - math.log(err_cand + epsilon)
+        math.log(err_curr + _EPSILON) - math.log(err_cand + _EPSILON)
     ) / temperature
     if log_alpha >= 0.0:
         return 1.0
@@ -200,7 +195,7 @@ def run(candidate_sets, spec: MismatchSpec, config: SamplerConfig) -> RunTrace:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
 
     iterations, every, n = config.iterations, config.checkpoint_every, state.n
-    temperature, decay, l_min, eps = config.l0, config.decay, config.l_min, config.epsilon
+    temperature, decay, l_min, eps = config.l0, config.decay, config.l_min, _EPSILON
     eligible = state.eligible
     if iterations and not eligible:
         raise FrozenChainError("all candidate sets are singletons; chain cannot move")

@@ -12,7 +12,7 @@ genuinely differ in their trip characteristics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -101,42 +101,36 @@ _WINDOW_START_S = 6 * 3600
 _WINDOW_END_S = 22 * 3600
 
 
-@dataclass(frozen=True)
-class TimeProfile:
-    """Departure-time density in 06:00-22:00: a uniform floor of weight
-    floor_weight, the rest split evenly between Gaussian peaks at 08:00
-    (sigma 75 min) and 17:30 (sigma 90 min)."""
-
-    floor_weight: float = 0.25
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails the test.
-        if not 0.0 <= self.floor_weight <= 1.0:
-            raise ValueError(f"floor_weight must lie in [0, 1], got {self.floor_weight}")
-
-    def draw(self, rng: np.random.Generator) -> int:
-        if rng.random() < self.floor_weight:
-            return int(rng.integers(_WINDOW_START_S, _WINDOW_END_S))
-        mu, sigma = _MORNING_PEAK if rng.random() < 0.5 else _EVENING_PEAK
-        for _ in range(32):
-            t = int(rng.normal(mu, sigma))
-            if _WINDOW_START_S <= t < _WINDOW_END_S:
-                return t
+def _departure(rng: np.random.Generator, floor_weight: float) -> int:
+    """A departure time in 06:00-22:00: uniform with probability
+    floor_weight, otherwise from one of two Gaussian peaks, 08:00 (sigma 75
+    min) and 17:30 (sigma 90 min), chosen evenly."""
+    if rng.random() < floor_weight:
         return int(rng.integers(_WINDOW_START_S, _WINDOW_END_S))
+    mu, sigma = _MORNING_PEAK if rng.random() < 0.5 else _EVENING_PEAK
+    for _ in range(32):
+        t = int(rng.normal(mu, sigma))
+        if _WINDOW_START_S <= t < _WINDOW_END_S:
+            return t
+    return int(rng.integers(_WINDOW_START_S, _WINDOW_END_S))
 
-    def flattened(self) -> "TimeProfile":
-        return replace(self, floor_weight=1.0)
+
+_START_WEEKDAY = 5  # day 0's weekday (0 = Monday) when no day_types are given
 
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """A synthetic city's settings.  Day 0 is a Saturday and the days follow
+    the week, unless `day_types` labels each day.  A working day draws each
+    departure from a uniform floor with probability `floor_weight`, else from
+    the morning or evening peak; a weekend draws every one from the floor."""
+
     network: TransitNetwork
     days: int = 25
-    start_weekday: int = 5  # 0 = Monday; 5 starts the collection on a Saturday
     day_types: tuple[str, ...] | None = None
     trips_per_day: int = 20_000
     weekend_scale: float = 0.5
-    profile: TimeProfile = field(default_factory=TimeProfile)
+    floor_weight: float = 0.25
     p_round: float = 0.18
     p_detour: float = 0.27
     detour_rank_decay: float = 0.6
@@ -149,8 +143,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("p_round", "p_detour", "weekend_scale"):
+        for name in ("p_round", "p_detour", "weekend_scale", "floor_weight"):
             v = getattr(self, name)
+            # Written so that NaN fails the test.
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.p_round + self.p_detour > 1.0:
@@ -180,7 +175,7 @@ class SynthConfig:
     def day_type(self, day: int) -> str:
         if self.day_types is not None:
             return self.day_types[day]
-        return WEEKEND if (self.start_weekday + day) % 7 >= 5 else WORKING
+        return WEEKEND if (_START_WEEKDAY + day) % 7 >= 5 else WORKING
 
     @cached_property
     def _od_pool(self) -> list[tuple[Stop, Stop]]:
@@ -218,6 +213,11 @@ class SynthCollection:
 
     network: TransitNetwork
     days: tuple[DayData, ...]
+
+    def __post_init__(self) -> None:
+        numbers = [d.day for d in self.days]
+        if len(set(numbers)) != len(numbers):
+            raise ValueError(f"a day number repeats: {numbers}")
 
     def day(self, index: int) -> DayData:
         for d in self.days:
@@ -303,7 +303,7 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
 
     weekend = day_type == WEEKEND
     n_trips = cfg.trips_per_day if not weekend else max(1, round(cfg.trips_per_day * cfg.weekend_scale))
-    profile = cfg.profile.flattened() if weekend else cfg.profile
+    floor_weight = 1.0 if weekend else cfg.floor_weight
     p_round = min(cfg.p_round * (cfg.weekend_round_factor if weekend else 1.0), 1.0 - cfg.p_detour)
     dwell_factor = cfg.weekend_dwell_factor if weekend else 1.0
     detour_cdfs = [_detour_cdf(cfg.detour_rank_decay, ranks)
@@ -315,7 +315,7 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
         top = None  # ranked, not built: a trip builds only the route it keeps
         for attempt in range(100):
             o, d = pool[int(rng.integers(0, len(pool)))]
-            t = profile.draw(rng)
+            t = _departure(rng, floor_weight)
             probe = ODTriple(origin=o, destination=d, depart_time=t, demand_id="probe")
             top = _ranked(cfg.network, probe, 1)
             if top:

@@ -232,9 +232,7 @@ def reference_run(candidate_sets, spec, config) -> RunTrace:
     for it in range(1, config.iterations + 1):
         j, cand, q_ratio = propose(state, rng)
         err_cand = delta_error(state, j, cand)
-        alpha = acceptance_probability(
-            state.cached_error, err_cand, q_ratio, temperature, config.epsilon
-        )
+        alpha = acceptance_probability(state.cached_error, err_cand, q_ratio, temperature)
         proposed += 1
         if rng.random() < alpha:
             apply_delta(state, j, cand)

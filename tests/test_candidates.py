@@ -31,7 +31,7 @@ class TestHistoryLookup:
         o, d = od_stops
         hist = TripHistory([])
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
-        assert history_lookup(hist, triple) == []
+        assert history_lookup(hist, triple, 1200) == []
 
     def test_frequency_aggregation(self, od_stops):
         o, d = od_stops
@@ -158,7 +158,7 @@ class TestBuildCandidateSet:
         o, d = od_stops
         triple = ODTriple(origin=o, destination=d, depart_time=28_800, demand_id="t")
         with pytest.raises(CandidateError):
-            build_candidate_set(triple, [], [])
+            build_candidate_set(triple, [], [], 0.5)
 
     def test_pure_planner_regime_equal_weights(self, od_stops):
         o, d = od_stops

@@ -8,7 +8,6 @@ from tripforge import (
     Route,
     SynthCollection,
     SynthConfig,
-    TimeProfile,
     build_grid_network,
     daytype_mix_eval,
     full_trip_time,
@@ -40,6 +39,13 @@ def small_collection(small_net):
         seed=21,
     )
     return generate_collection(cfg)
+
+
+def with_empty_day(collection, day):
+    """The collection with the demand and trips of `day` taken out."""
+    days = tuple(DayData(d.day, d.day_type, (), ()) if d.day == day else d
+                 for d in collection.days)
+    return SynthCollection(network=collection.network, days=days)
 
 
 def fast_eval_cfg(**kw):
@@ -126,6 +132,10 @@ class TestPrepareDay:
             assert a.weights == b.weights
             assert [r.identity for r in a.routes] == [r.identity for r in b.routes]
 
+    def test_day_without_demand_raises(self, small_collection):
+        with pytest.raises(EvalError, match="day 2 has no demand"):
+            prepare_day(with_empty_day(small_collection, 2), 2, fast_eval_cfg())
+
     def test_targets_only_from_prior_days(self, small_collection):
         prepared = prepare_day(small_collection, 2, fast_eval_cfg())
         assert prepared.prior_days == (0, 1)
@@ -210,12 +220,22 @@ class TestOnlineEval:
             (2, WEEKEND, 1), (3, WORKING, 1)
         ]
 
+    def test_skips_a_day_without_demand(self, small_collection):
+        coll = with_empty_day(small_collection, 2)
+        result = online_eval(coll, (WORKING,), fast_eval_cfg(iterations=2_000))
+        assert [(r.test_day, r.prior_days) for r in result.rows] == [(1, 1), (3, 2)]
+
     def test_needs_two_days(self, small_collection):
         with pytest.raises(EvalError):
             online_eval(small_collection, (WEEKEND,), fast_eval_cfg())
 
 
 class TestDayTypeMix:
+    def test_skips_a_day_without_demand(self, small_collection):
+        result = daytype_mix_eval(with_empty_day(small_collection, 2),
+                                  fast_eval_cfg(iterations=2_000))
+        assert [r.test_day for r in result.rows] == [1, 3]
+
     def test_single_type_collection_pooled_equals_matched(self, small_collection):
         result = daytype_mix_eval(small_collection, fast_eval_cfg(iterations=10_000))
         for row in result.rows:
@@ -230,7 +250,7 @@ class TestDayTypeMix:
             day_types=tuple(WORKING if i % 2 == 0 else WEEKEND for i in range(8)),
             trips_per_day=1_500, od_pool_size=80, seed=43,
             weekend_scale=1.0, weekend_round_factor=1.0, weekend_dwell_factor=1.0,
-            profile=TimeProfile(floor_weight=1.0),
+            floor_weight=1.0,
         )
         coll = generate_collection(cfg)
         result = daytype_mix_eval(coll, fast_eval_cfg(iterations=15_000))

@@ -210,14 +210,15 @@ class TestCmdSynth:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", -1), ("od_pool_size", 0), ("planner_k", 0), ("network_seed", -1),
-        ("grid_spacing_m", -600), ("grid_spacing_m", "nan"),
+        ("grid_spacing_m", -600), ("grid_spacing_m", "nan"), ("days", 0),
     ])
     def test_bad_count_names_field(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "synth.cfg"
         write_synth_config(cfg_path, **{key: value})
+        line = cfg_path.read_text().splitlines().index(f"{key} {value}") + 1
         rc = main(["synth", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}:{line}: {key} must be")
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "synth.cfg"
@@ -567,7 +568,6 @@ class TestCmdEval:
 
     @pytest.mark.parametrize("flag, value", [
         ("--l0", "nan"), ("--l0", "inf"), ("--l-min", "nan"), ("--l-min", "inf"),
-        ("--epsilon", "nan"), ("--epsilon", "inf"),
     ])
     def test_non_finite_sampler_flag_exits_2(self, tmp_path, generated_inputs, capsys, flag,
                                              value):
@@ -684,6 +684,26 @@ class TestCmdEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["oneday", "online", "daytype"])
+    def test_repeated_day_number_exits_2(self, tmp_path, generated_inputs, capsys, mode):
+        # an empty weekend day 1 beside the working day 1
+        root = generated_inputs["root"]
+        for suffix in (".trips", ".demand"):
+            (root / f"day_001_weekend{suffix}").write_text("", encoding="utf-8")
+        rc = main([
+            "eval", "--mode", mode,
+            "--history-dir", str(root),
+            "--test-day", "1",
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {root / 'day_001_working.trips'}: day 1 is also in "
+            f"{root / 'day_001_weekend.trips'}"
+        )
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("day_types", ["holiday", "working, weekend"])
     def test_unknown_day_type_flag_exits_2(self, tmp_path, generated_inputs, capsys, day_types):
         rc = main([
@@ -746,3 +766,37 @@ class TestParseSynthConfig:
         path.write_text("seed 1\nseed 2\n", encoding="utf-8")
         with pytest.raises(tfio.FormatError):
             parse_synth_config(path)
+
+    def test_floor_weight_is_read_from_the_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        write_synth_config(path, floor_weight=0.4)
+        assert parse_synth_config(path).floor_weight == 0.4
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("floor_weight", "nan", "floor_weight must lie in [0, 1]"),
+        ("seed", "x", "seed: expected int"),
+        ("p_round", 2, "p_round must lie in [0, 1]"),
+        ("bogus_knob", 3, "unknown field 'bogus_knob'"),
+    ])
+    def test_error_names_its_line(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "c.cfg"
+        write_synth_config(path, **{key: value})
+        line = path.read_text().splitlines().index(f"{key} {value}") + 1
+        assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: {message}")
+
+    def test_cross_field_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        write_synth_config(path, p_round=0.6, p_detour=0.6)
+        assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: p_round + p_detour")
+
+    def test_grid_key_beside_network_exits_2(self, tmp_path, capsys, tiny_collection):
+        network = tmp_path / "network.txt"
+        tfio.write_network(tiny_collection.network, network)
+        path = tmp_path / "c.cfg"
+        path.write_text(f"network {network}\ndays 1\ntrips_per_day 5\ngrid_rows 3\n",
+                        encoding="utf-8")
+        assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:4: grid_rows ")
+        assert not (tmp_path / "o").exists()

@@ -307,7 +307,7 @@ class TestRun:
     def test_eval_config_runs_the_sampler_config_chain(self):
         # EvalConfig extends SamplerConfig: the chain settings, their defaults
         # and the chain they run are SamplerConfig's own.
-        fields = ("iterations", "checkpoint_every", "seed", "l0", "decay", "l_min", "epsilon")
+        fields = ("iterations", "checkpoint_every", "seed", "l0", "decay", "l_min")
         assert [getattr(EvalConfig(), f) for f in fields] == [
             getattr(SamplerConfig(), f) for f in fields
         ]
@@ -412,7 +412,7 @@ class TestRun:
             j, cand, q_ratio = propose(state, rng)
             err_cand = delta_error(state, j, cand)
             if rng.random() < acceptance_probability(state.cached_error, err_cand, q_ratio,
-                                                     temperature, eps):
+                                                     temperature):
                 apply_delta(state, j, cand)
             visits[assignments.index(tuple(state.assignment.tolist()))] += 1
         assert 0.5 * np.abs(visits / n - pi).sum() <= 0.03

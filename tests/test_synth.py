@@ -9,7 +9,6 @@ from tripforge import (
     Line,
     Stop,
     SynthConfig,
-    TimeProfile,
     TransitNetwork,
     angle_ratio,
     build_grid_network,
@@ -56,8 +55,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("floor_weight", [float("nan"), -0.1, 1.5])
     def test_time_profile_rejects_floor_weight_outside_unit_interval(self, floor_weight):
+        net = build_grid_network(rows=2, cols=2, seed=0)
         with pytest.raises(ValueError, match="floor_weight"):
-            TimeProfile(floor_weight=floor_weight)
+            SynthConfig(network=net, floor_weight=floor_weight)
+
+    def test_collection_rejects_a_repeated_day_number(self):
+        net = build_grid_network(rows=2, cols=2, seed=0)
+        days = (synth.DayData(1, WORKING, (), ()), synth.DayData(1, WEEKEND, (), ()))
+        with pytest.raises(ValueError, match="repeat"):
+            synth.SynthCollection(network=net, days=days)
 
     def test_used_config_can_be_freed(self, small_net):
         cfg = small_cfg(small_net, trips_per_day=20, od_pool_size=5)
