@@ -22,7 +22,8 @@ from tripforge import (
 net = build_grid_network(rows=4, cols=5, seed=0)
 cfg = SynthConfig(network=net, days=1, day_types=("working",),
                   trips_per_day=4000, od_pool_size=200, seed=42)
-triples, observed, _ = generate_day(cfg, 0)
+day = generate_day(cfg, 0)
+triples, observed = day.triples, day.routes
 
 simulated = planner_baseline(triples, net)
 report = mismatch_report(observed, simulated)

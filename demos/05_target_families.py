@@ -31,7 +31,7 @@ from tripforge import (
     transfer_time,
 )
 from tripforge.evaluation import prepare_day
-from tripforge.synth import DayData, SynthCollection
+from tripforge.synth import SynthCollection
 
 rng = np.random.default_rng(0)
 
@@ -45,17 +45,9 @@ print(f"poisson fit from samples of Poisson(6): lambda={lam:.3f}")
 net = build_grid_network(rows=4, cols=5, seed=0)
 cfg = SynthConfig(network=net, days=2, day_types=("working", "working"),
                   trips_per_day=2000, od_pool_size=200, seed=4)
-history_day = generate_day(cfg, 0)
-test_day = generate_day(cfg, 1)
-collection = SynthCollection(
-    network=net,
-    days=(
-        DayData(day=0, day_type="working", triples=tuple(history_day[0]), routes=tuple(history_day[1])),
-        DayData(day=1, day_type="working", triples=tuple(test_day[0]), routes=tuple(test_day[1])),
-    ),
-)
+collection = SynthCollection(network=net, days=(generate_day(cfg, 0), generate_day(cfg, 1)))
 
-observed = history_day[1]
+observed = collection.days[0].routes
 f1 = np.array([full_trip_time(r) for r in observed])
 f2_bins = np.array([transfer_time(r) for r in observed]) / 60.0
 f3 = np.clip([angle_ratio(r) for r in observed], 1e-6, 1 - 1e-6)

@@ -30,8 +30,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 # The `build_grid_network` arguments and the config key that sets each.
-_GRID_KEYS = {"rows": "grid_rows", "cols": "grid_cols", "spacing_m": "grid_spacing_m",
-              "seed": "network_seed"}
+_GRID_KEYS = {"rows": "grid_rows", "cols": "grid_cols", "seed": "network_seed"}
 # The numeric config keys and their annotated types, "int" or "float": the
 # SynthConfig fields and the grid network's arguments.
 _SYNTH_NUMBERS = {f.name: f.type for f in dataclasses.fields(SynthConfig)
@@ -80,7 +79,12 @@ def parse_synth_config(path) -> SynthConfig:
         if grid:
             lineno, key = min((lines[key], key) for key in _GRID_KEYS.values() if key in lines)
             raise io.FormatError(path, lineno, f"{key} does not apply beside 'network'")
-        network = io.read_network(values.pop("network"))
+        network_path = values.pop("network")
+        try:
+            network = io.read_network(network_path)
+        except OSError as exc:
+            raise io.FormatError(path, lines["network"],
+                                 f"network: cannot read {network_path!r}: {exc.strerror}") from None
     else:
         try:
             network = build_grid_network(**grid)

@@ -537,7 +537,8 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
     """Load a collection directory back into DayData objects.
 
     Returns (network, [DayData...]); demand files are matched to trips by
-    demand_id so triples and routes stay aligned.
+    demand_id so triples and routes stay aligned.  A trips or demand file
+    without its pair is a FormatError.
     """
     root = Path(history_dir)
     if network is None:
@@ -547,6 +548,9 @@ def read_collection(history_dir, network: TransitNetwork | None = None):
         network = read_network(net_path)
     stops_by_id = {s.stop_id: s for s in network.stops}
     line_stops = {line.line_id: line.stop_ids for line in network.lines}
+    for demand_path in sorted(root.glob("day_*.demand")):
+        if not demand_path.with_suffix(".trips").exists():
+            raise FormatError(demand_path, None, "matching trips file not found")
     days = []
     seen: dict[int, Path] = {}  # day -> its trips file
     for trips_path in sorted(root.glob("day_*.trips")):

@@ -31,11 +31,12 @@ class SynthError(RuntimeError):
 
 _METERS_PER_DEG_LAT = 111_195.0
 
-# What every grid city shares: its south-west corner, bus speed, how much
-# longer a ride is than the straight segment, the headways a line pair draws
-# from, and the service window of every line.
+# What every grid city shares: its south-west corner, the spacing of its
+# stops, bus speed, how much longer a ride is than the straight segment, the
+# headways a line pair draws from, and the service window of every line.
 _BASE_LAT = 45.0
 _BASE_LON = 5.0
+_SPACING_M = 600.0
 _BUS_SPEED_MPS = 7.0
 _SEGMENT_DETOUR = 1.03
 _HEADWAY_CHOICES = (420, 600, 900)
@@ -43,23 +44,16 @@ _FIRST_DEP_S = 5 * 3600
 _LAST_DEP_S = 23 * 3600
 
 
-def build_grid_network(
-    rows: int = 5,
-    cols: int = 6,
-    spacing_m: float = 600.0,
-    seed: int = 0,
-) -> TransitNetwork:
+def build_grid_network(rows: int = 5, cols: int = 6, seed: int = 0) -> TransitNetwork:
     """A rectangular city: one east-west line per row, one north-south line
     per column, each served in both directions with a shared headway."""
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
-    if not (math.isfinite(spacing_m) and spacing_m > 0.0):
-        raise ValueError(f"spacing_m must be finite and positive, got {spacing_m}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    dlat = spacing_m / _METERS_PER_DEG_LAT
-    dlon = spacing_m / (_METERS_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT)))
+    dlat = _SPACING_M / _METERS_PER_DEG_LAT
+    dlon = _SPACING_M / (_METERS_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT)))
 
     stops = [
         Stop(f"s{r:02d}{c:02d}", _BASE_LAT + r * dlat, _BASE_LON + c * dlon, f"Stop {r}/{c}")
@@ -101,11 +95,11 @@ _WINDOW_START_S = 6 * 3600
 _WINDOW_END_S = 22 * 3600
 
 
-def _departure(rng: np.random.Generator, floor_weight: float) -> int:
+def _departure(rng: np.random.Generator, uniform_share: float) -> int:
     """A departure time in 06:00-22:00: uniform with probability
-    floor_weight, otherwise from one of two Gaussian peaks, 08:00 (sigma 75
+    uniform_share, otherwise from one of two Gaussian peaks, 08:00 (sigma 75
     min) and 17:30 (sigma 90 min), chosen evenly."""
-    if rng.random() < floor_weight:
+    if rng.random() < uniform_share:
         return int(rng.integers(_WINDOW_START_S, _WINDOW_END_S))
     mu, sigma = _MORNING_PEAK if rng.random() < 0.5 else _EVENING_PEAK
     for _ in range(32):
@@ -116,51 +110,42 @@ def _departure(rng: np.random.Generator, floor_weight: float) -> int:
 
 
 _START_WEEKDAY = 5  # day 0's weekday (0 = Monday) when no day_types are given
+# Per day type: the share of `trips_per_day`, the share of departures drawn
+# uniformly (else from the peaks), and the factors on `p_round` and dwells.
+_DAY_BEHAVIOUR = {WORKING: (1.0, 0.25, 1.0, 1.0), WEEKEND: (0.5, 1.0, 2.0, 2.0)}
+_DETOUR_RANKS = 5  # the routes a detour asks the planner for
+_DETOUR_DECAY = 0.6  # a detour takes rank 1 + r with weight _DETOUR_DECAY**r
+_DWELL_MEAN_S = 420.0  # a detour's mean extra wait at each transfer
+_ROUND_DWELL_MEAN_S = 1500.0  # a round trip's mean stay beyond 120 s
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     """A synthetic city's settings.  Day 0 is a Saturday and the days follow
-    the week, unless `day_types` labels each day.  A working day draws each
-    departure from a uniform floor with probability `floor_weight`, else from
-    the morning or evening peak; a weekend draws every one from the floor."""
+    the week, unless `day_types` labels each day; `_DAY_BEHAVIOUR` sets how
+    the two day types differ.  A weekend's `p_round` is capped at 1 - p_detour."""
 
     network: TransitNetwork
     days: int = 25
     day_types: tuple[str, ...] | None = None
     trips_per_day: int = 20_000
-    weekend_scale: float = 0.5
-    floor_weight: float = 0.25
     p_round: float = 0.18
     p_detour: float = 0.27
-    detour_rank_decay: float = 0.6
-    dwell_mean_s: float = 420.0
-    round_dwell_mean_s: float = 1500.0
-    weekend_round_factor: float = 2.0
-    weekend_dwell_factor: float = 2.0
-    planner_k: int = 5
     od_pool_size: int = 600
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("p_round", "p_detour", "weekend_scale", "floor_weight"):
+        for name in ("p_round", "p_detour"):
             v = getattr(self, name)
             # Written so that NaN fails the test.
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.p_round + self.p_detour > 1.0:
             raise ValueError("p_round + p_detour must not exceed 1")
-        for name in ("detour_rank_decay", "dwell_mean_s", "round_dwell_mean_s",
-                     "weekend_round_factor", "weekend_dwell_factor"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.trips_per_day < 1:
             raise ValueError("trips_per_day must be >= 1")
         if self.days < 1:
             raise ValueError("days must be >= 1")
-        if self.planner_k < 1:
-            raise ValueError(f"planner_k must be at least 1, got {self.planner_k}")
         if self.od_pool_size < 1:
             raise ValueError(f"od_pool_size must be at least 1, got {self.od_pool_size}")
         if self.seed < 0:
@@ -288,7 +273,7 @@ def _detour_cdf(decay: float, ranks: int) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route], str]:
+def generate_day(cfg: SynthConfig, day: int) -> DayData:
     """Demand triples and their observed routes for one day.
 
     Deterministic per (config seed, day).  Raises SynthError when a sampled
@@ -301,13 +286,10 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
     pool = cfg._od_pool
     reverse_of = _reverse_line_map(cfg.network)
 
-    weekend = day_type == WEEKEND
-    n_trips = cfg.trips_per_day if not weekend else max(1, round(cfg.trips_per_day * cfg.weekend_scale))
-    floor_weight = 1.0 if weekend else cfg.floor_weight
-    p_round = min(cfg.p_round * (cfg.weekend_round_factor if weekend else 1.0), 1.0 - cfg.p_detour)
-    dwell_factor = cfg.weekend_dwell_factor if weekend else 1.0
-    detour_cdfs = [_detour_cdf(cfg.detour_rank_decay, ranks)
-                   for ranks in range(1, cfg.planner_k)]
+    share, uniform_share, round_factor, dwell_factor = _DAY_BEHAVIOUR[day_type]
+    n_trips = max(1, round(cfg.trips_per_day * share))
+    p_round = min(cfg.p_round * round_factor, 1.0 - cfg.p_detour)
+    detour_cdfs = [_detour_cdf(_DETOUR_DECAY, ranks) for ranks in range(1, _DETOUR_RANKS)]
 
     triples: list[ODTriple] = []
     routes: list[Route] = []
@@ -315,7 +297,7 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
         top = None  # ranked, not built: a trip builds only the route it keeps
         for attempt in range(100):
             o, d = pool[int(rng.integers(0, len(pool)))]
-            t = _departure(rng, floor_weight)
+            t = _departure(rng, uniform_share)
             probe = ODTriple(origin=o, destination=d, depart_time=t, demand_id="probe")
             top = _ranked(cfg.network, probe, 1)
             if top:
@@ -331,7 +313,7 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
             route = _route(cfg.network, *top[0])
             round_trip = all(leg.line_id in reverse_of for leg in route.legs)
             if round_trip:
-                dwell = 120 + int(rng.exponential(cfg.round_dwell_mean_s * dwell_factor))
+                dwell = 120 + int(rng.exponential(_ROUND_DWELL_MEAN_S * dwell_factor))
                 route = _round_trip_route(route, dwell, reverse_of)
             triples.append(ODTriple(origin=o, destination=o if round_trip else d, depart_time=t,
                                     demand_id=demand_id, round_trip_allowed=round_trip))
@@ -342,22 +324,17 @@ def generate_day(cfg: SynthConfig, day: int) -> tuple[list[ODTriple], list[Route
         if u < p_round + cfg.p_detour:
             # Only a detour looks past the top route.  The ranking is exact
             # for every k, so the first route stays the one drawn above.
-            ranked = _ranked(cfg.network, probe, cfg.planner_k)
+            ranked = _ranked(cfg.network, probe, _DETOUR_RANKS)
             if len(ranked) >= 2:
                 cdf = detour_cdfs[len(ranked) - 2]
                 pick = 1 + int(cdf.searchsorted(rng.random(), side="right"))
                 route = _route(cfg.network, *ranked[pick])
-                routes.append(_inject_dwell(route, rng, cfg.dwell_mean_s * dwell_factor))
+                routes.append(_inject_dwell(route, rng, _DWELL_MEAN_S * dwell_factor))
                 continue
         routes.append(_route(cfg.network, *top[0]))
-    return triples, routes, day_type
+    return DayData(day=day, day_type=day_type, triples=tuple(triples), routes=tuple(routes))
 
 
 def generate_collection(cfg: SynthConfig) -> SynthCollection:
-    days = []
-    for day in range(cfg.days):
-        triples, routes, day_type = generate_day(cfg, day)
-        days.append(
-            DayData(day=day, day_type=day_type, triples=tuple(triples), routes=tuple(routes))
-        )
-    return SynthCollection(network=cfg.network, days=tuple(days))
+    return SynthCollection(network=cfg.network,
+                           days=tuple(generate_day(cfg, day) for day in range(cfg.days)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,17 +244,14 @@ class TestDayTypeMix:
             assert row.pooled_error == row.matched_error
 
     def test_indistinct_weekends_pool_for_free(self, small_net):
-        # weekend days generated with working-day behavior: pooling the
+        # working days, every other one labelled a weekend: pooling the
         # targets changes only their sampling noise, so matched and pooled
         # errors agree closely on average
-        cfg = SynthConfig(
-            network=small_net, days=8,
-            day_types=tuple(WORKING if i % 2 == 0 else WEEKEND for i in range(8)),
-            trips_per_day=1_500, od_pool_size=80, seed=43,
-            weekend_scale=1.0, weekend_round_factor=1.0, weekend_dwell_factor=1.0,
-            floor_weight=1.0,
-        )
-        coll = generate_collection(cfg)
+        cfg = SynthConfig(network=small_net, days=8, day_types=(WORKING,) * 8,
+                          trips_per_day=1_500, od_pool_size=80, seed=43)
+        days = generate_collection(cfg).days
+        coll = SynthCollection(network=small_net, days=tuple(
+            dataclasses.replace(d, day_type=WEEKEND) if d.day % 2 else d for d in days))
         result = daytype_mix_eval(coll, fast_eval_cfg(iterations=15_000))
         matched, pooled = result.mean_errors(WEEKEND)
         assert pooled == pytest.approx(matched, abs=0.06)

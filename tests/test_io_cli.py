@@ -195,6 +195,9 @@ class TestCmdSynth:
         assert rc == 2
         assert "p_round" in capsys.readouterr().err
 
+    # dwell_mean_s, round_dwell_mean_s, detour_rank_decay, weekend_dwell_factor,
+    # grid_spacing_m and planner_k are no longer settings: an old config that
+    # sets one exits 2 as an unknown field.
     @pytest.mark.parametrize("key, value", [
         ("dwell_mean_s", "nan"), ("round_dwell_mean_s", "-5"), ("detour_rank_decay", "-1"),
         ("weekend_dwell_factor", "inf"), ("grid_spacing_m", "nan"), ("grid_spacing_m", "0"),
@@ -209,8 +212,7 @@ class TestCmdSynth:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("seed", -1), ("od_pool_size", 0), ("planner_k", 0), ("network_seed", -1),
-        ("grid_spacing_m", -600), ("grid_spacing_m", "nan"), ("days", 0),
+        ("seed", -1), ("od_pool_size", 0), ("network_seed", -1), ("days", 0),
     ])
     def test_bad_count_names_field(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "synth.cfg"
@@ -704,6 +706,21 @@ class TestCmdEval:
         )
         assert not (tmp_path / "x").exists()
 
+    def test_demand_file_without_trips_exits_2(self, tmp_path, generated_inputs, capsys):
+        root = generated_inputs["root"]
+        (root / "day_001_working.trips").unlink()
+        rc = main([
+            "eval", "--mode", "online",
+            "--history-dir", str(root),
+            "--iterations", "100",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {root / 'day_001_working.demand'}: matching trips file not found"
+        )
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("day_types", ["holiday", "working, weekend"])
     def test_unknown_day_type_flag_exits_2(self, tmp_path, generated_inputs, capsys, day_types):
         rc = main([
@@ -767,13 +784,8 @@ class TestParseSynthConfig:
         with pytest.raises(tfio.FormatError):
             parse_synth_config(path)
 
-    def test_floor_weight_is_read_from_the_file(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        write_synth_config(path, floor_weight=0.4)
-        assert parse_synth_config(path).floor_weight == 0.4
-
     @pytest.mark.parametrize("key, value, message", [
-        ("floor_weight", "nan", "floor_weight must lie in [0, 1]"),
+        ("p_detour", "nan", "p_detour must lie"),
         ("seed", "x", "seed: expected int"),
         ("p_round", 2, "p_round must lie in [0, 1]"),
         ("bogus_knob", 3, "unknown field 'bogus_knob'"),
@@ -799,4 +811,14 @@ class TestParseSynthConfig:
                         encoding="utf-8")
         assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:4: grid_rows ")
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_network_file_exits_2_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        missing = tmp_path / "missing.txt"
+        path.write_text(f"days 1\nnetwork {missing}\n", encoding="utf-8")
+        assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: network: ")
+        assert str(missing) in err
         assert not (tmp_path / "o").exists()

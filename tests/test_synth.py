@@ -53,12 +53,6 @@ class TestConfig:
         assert labels.count(WEEKEND) == 8
         assert labels[0] == WEEKEND and labels[1] == WEEKEND and labels[2] == WORKING
 
-    @pytest.mark.parametrize("floor_weight", [float("nan"), -0.1, 1.5])
-    def test_time_profile_rejects_floor_weight_outside_unit_interval(self, floor_weight):
-        net = build_grid_network(rows=2, cols=2, seed=0)
-        with pytest.raises(ValueError, match="floor_weight"):
-            SynthConfig(network=net, floor_weight=floor_weight)
-
     def test_collection_rejects_a_repeated_day_number(self):
         net = build_grid_network(rows=2, cols=2, seed=0)
         days = (synth.DayData(1, WORKING, (), ()), synth.DayData(1, WEEKEND, (), ()))
@@ -104,14 +98,13 @@ class TestDetourDraw:
 
 class TestGenerateDay:
     # sha256 of every trip of a working and a weekend day: demand, legs and
-    # times, taken when every trip asked the planner for planner_k routes.
-    # Asking for the top route alone must not change a byte.
-    @pytest.mark.parametrize("planner_k, digest", [
-        (5, "04e5b45d0619a648e876bf0896b255116d64bc1fe64fb82d5e03f1ca0f0804b9"),
-        (1, "92229dde44cee71879d430420eb12bb3a27808820d3c9c06a32c37561fba4d3a"),
-    ], ids=["planner_k=5", "planner_k=1"])
-    def test_pinned_collection(self, small_net, planner_k, digest):
-        cfg = small_cfg(small_net, day_types=(WORKING, WEEKEND), planner_k=planner_k)
+    # times, taken when every trip asked the planner for 5 routes.  Asking
+    # for the top route alone must not change a byte.
+    @pytest.mark.parametrize("digest", [
+        "04e5b45d0619a648e876bf0896b255116d64bc1fe64fb82d5e03f1ca0f0804b9",
+    ], ids=["planner_k=5"])
+    def test_pinned_collection(self, small_net, digest):
+        cfg = small_cfg(small_net, day_types=(WORKING, WEEKEND))
         h = hashlib.sha256()
         for d in generate_collection(cfg).days:
             for t, r in zip(d.triples, d.routes):
@@ -167,7 +160,7 @@ class TestGenerateDay:
         assert cfg._od_pool  # its probes are not trips
         planner_log.clear()
         built_routes.clear()
-        _, routes, _ = generate_day(cfg, 0)
+        routes = generate_day(cfg, 0).routes
         # The first draw after a trip finds its top route is the u that picks
         # round trip, detour or top route; a detour asks the planner next.
         detours, wide, after_top = [], [], False
@@ -179,7 +172,7 @@ class TestGenerateDay:
             elif kind == 1:
                 after_top = value > 0
             else:
-                assert kind == cfg.planner_k
+                assert kind == synth._DETOUR_RANKS
                 wide.append(at)
         assert len(detours) > 100
         assert wide == detours
@@ -193,24 +186,26 @@ class TestGenerateDay:
 
     def test_deterministic_per_seed_and_day(self, small_net):
         cfg = small_cfg(small_net)
-        t1, r1, d1 = generate_day(cfg, 0)
-        cfg2 = small_cfg(small_net)
-        t2, r2, d2 = generate_day(cfg2, 0)
-        assert d1 == d2
-        assert [t.demand_id for t in t1] == [t.demand_id for t in t2]
-        assert [t.depart_time for t in t1] == [t.depart_time for t in t2]
-        assert [r.identity for r in r1] == [r.identity for r in r2]
-        assert [r.legs[0].board_time for r in r1] == [r.legs[0].board_time for r in r2]
+        d1 = generate_day(cfg, 0)
+        d2 = generate_day(small_cfg(small_net), 0)
+        assert d1.day_type == d2.day_type
+        assert [t.demand_id for t in d1.triples] == [t.demand_id for t in d2.triples]
+        assert [t.depart_time for t in d1.triples] == [t.depart_time for t in d2.triples]
+        assert [r.identity for r in d1.routes] == [r.identity for r in d2.routes]
+        assert ([r.legs[0].board_time for r in d1.routes]
+                == [r.legs[0].board_time for r in d2.routes])
 
     def test_all_round_trips(self, small_net):
         cfg = small_cfg(small_net, p_round=1.0, p_detour=0.0, trips_per_day=300)
-        triples, routes, _ = generate_day(cfg, 0)
+        day = generate_day(cfg, 0)
+        triples, routes = day.triples, day.routes
         assert all(t.round_trip_allowed for t in triples)
         assert all(angle_ratio(r) < 0.05 for r in routes)
 
     def test_no_deviations_equals_planner_rank_one(self, small_net):
         cfg = small_cfg(small_net, p_round=0.0, p_detour=0.0, trips_per_day=300)
-        triples, routes, _ = generate_day(cfg, 0)
+        day = generate_day(cfg, 0)
+        triples, routes = day.triples, day.routes
         for t, r in zip(triples, routes):
             best = k_top_routes(small_net, t, k=1)[0]
             assert r.identity == best.identity
@@ -218,13 +213,13 @@ class TestGenerateDay:
 
     def test_observed_routes_validate(self, small_net):
         cfg = small_cfg(small_net)
-        _, routes, _ = generate_day(cfg, 0)
+        routes = generate_day(cfg, 0).routes
         assert all(validate_route(r) == [] for r in routes)
         assert all(transfer_walk_problems(r, small_net.max_walk_m) == [] for r in routes)
 
     def test_round_trip_rate_within_three_sigma(self, small_net):
         cfg = small_cfg(small_net, trips_per_day=10_000, od_pool_size=100)
-        triples, _, _ = generate_day(cfg, 0)
+        triples = generate_day(cfg, 0).triples
         n_round = sum(1 for t in triples if t.round_trip_allowed)
         p = cfg.p_round
         sigma = (10_000 * p * (1 - p)) ** 0.5
@@ -233,16 +228,15 @@ class TestGenerateDay:
     def test_weekend_scaling_and_labels(self, small_net):
         cfg = SynthConfig(network=small_net, days=3,
                           day_types=(WORKING, WEEKEND, WORKING),
-                          trips_per_day=400, weekend_scale=0.5,
-                          od_pool_size=80, seed=5)
-        _, routes_work, label_w = generate_day(cfg, 0)
-        _, routes_wend, label_e = generate_day(cfg, 1)
-        assert label_w == WORKING and label_e == WEEKEND
-        assert len(routes_wend) == 200
+                          trips_per_day=400, od_pool_size=80, seed=5)
+        work, wend = generate_day(cfg, 0), generate_day(cfg, 1)
+        assert work.day_type == WORKING and wend.day_type == WEEKEND
+        assert len(work.routes) == 400 and len(wend.routes) == 200
 
     def test_deviation_shapes_default_day(self, small_net):
         cfg = small_cfg(small_net, trips_per_day=4_000, od_pool_size=100)
-        triples, routes, _ = generate_day(cfg, 0)
+        day = generate_day(cfg, 0)
+        triples, routes = day.triples, day.routes
         f3 = np.array([angle_ratio(r) for r in routes])
         # bimodal directness: plenty of round trips near 0 and straight rides near 1
         assert (f3 <= 0.1).mean() >= 0.15
@@ -275,14 +269,15 @@ class TestGenerateDay:
     def test_one_way_network_only_samples_reachable_pairs(self, one_way_net):
         cfg = SynthConfig(network=one_way_net, days=1, day_types=(WORKING,), trips_per_day=10,
                           od_pool_size=10, seed=1)
-        triples, routes, _ = generate_day(cfg, 0)  # only a->b is reachable
+        triples = generate_day(cfg, 0).triples  # only a->b is reachable
         assert all(t.origin.stop_id == "a" for t in triples if not t.round_trip_allowed)
 
     def test_one_way_line_is_never_ridden_backwards(self, one_way_net):
         # a round trip needs the reverse of every outbound line; solo has none
         cfg = SynthConfig(network=one_way_net, days=1, day_types=(WORKING,), trips_per_day=50,
                           od_pool_size=10, seed=1)
-        triples, routes, _ = generate_day(cfg, 0)
+        day = generate_day(cfg, 0)
+        triples, routes = day.triples, day.routes
         order = {line.line_id: line.stop_ids for line in one_way_net.lines}
         for route in routes:
             for leg in route.legs:
