@@ -54,8 +54,7 @@ def _located(path, lines: dict[str, int], exc: ValueError, keys=None) -> io.Form
 def parse_synth_config(path) -> SynthConfig:
     values: dict[str, object] = {}
     lines: dict[str, int] = {}  # each key's line
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -39,6 +39,19 @@ class FormatError(ValueError):
         self.lineno = lineno
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; FormatError at the line of its first
+    byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # lines end where splitlines ends them, as in the readers' messages
+        lineno = len((data[: exc.start].decode("utf-8") + "\ufffd").splitlines())
+        raise FormatError(path, lineno,
+                          f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -124,7 +137,7 @@ _NETWORK_FIELDS = {"transfer_penalty_s": int, "walk_speed_mps": float, "max_walk
 
 
 def read_network(path) -> TransitNetwork:
-    numbered = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
+    numbered = enumerate(read_lines(path), start=1)
     stops: list[Stop] = []
     lines: list[Line] = []
     fields: dict[str, float] = {}
@@ -244,8 +257,7 @@ def read_trips(path, stops_by_id: dict[str, Stop],
     out = []
     demand_lineno: dict[str, int] = {}
     named = parse_day_file_name(path)
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         if not raw.strip():
             continue
         parts = raw.split(",")
@@ -318,8 +330,7 @@ def read_demand(path, stops_by_id: dict[str, Stop]) -> list[ODTriple]:
     """One triple per row, one row per demand id."""
     out = []
     demand_lineno: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         if not raw.strip():
             continue
         parts = raw.split(",")
@@ -379,7 +390,7 @@ def write_targets(spec: MismatchSpec, path) -> None:
 
 
 def read_targets(path) -> MismatchSpec:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    text = read_lines(path)
     entries: list[MismatchEntry] = []
     block: dict | None = None
     components: list[tuple[float, float, float]] = []

@@ -18,8 +18,8 @@ stays a lower bound (the A* admissibility argument of Hart, Nilsson and
 Raphael, 1968).  Realization stops as soon as no unseen skeleton can beat the
 k-th realized route, so the returned ranking is exact; the only limit on the
 route space is the cap of MAX_LEGS legs.  Legs are tabled once per network,
-each origin's skeletons are filed as machine integers with a fixed tie order
-(see _SkeletonCache), and a caller keeping one route builds one Route.
+each origin's skeletons are filed in bulk as machine integers with a fixed tie
+order (see _SkeletonCache), and a caller keeping one route builds one Route.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ class _NetworkIndex:
         module docstring) and the ride.  Ids number each state's entries in
         (line, board pos, alight pos, walk) order, after the earlier states';
         steps[id] is (line, board pos, alight pos, walk_s, legs record) and
-        adds[id] the bound added, also in add_array with alight_array."""
+        adds[id] the bound added, also in add_array; board_array and
+        alight_array hold their stops, and state s's ids start at first_entry[s]."""
         boardings: list[list[tuple[int, int]]] = [[] for _ in self.walk]
         for li, stops in enumerate(self.line_stops):
             for pos, si in enumerate(stops[:-1]):
@@ -209,7 +210,9 @@ class _NetworkIndex:
         # a bound sums at most MAX_LEGS adds: int64 unless rides last aeons
         wide = MAX_LEGS * max(self.adds, default=0) >> 63
         self.add_array = np.array(self.adds, dtype=object if wide else np.int64)
-        self.alight_array = np.array([self.line_stops[li][a] for li, _, a, *_ in self.steps])
+        self.board_array = np.array([self.line_stops[li][p] for li, p, *_ in self.steps], np.int32)
+        self.alight_array = np.array([self.line_stops[li][a] for li, _, a, *_ in self.steps], np.int32)
+        self.first_entry = np.array(list(accumulate(map(len, entries), initial=0)), dtype=np.int32)
         return entries
 
 
@@ -226,6 +229,9 @@ class _SkeletonCache:
     bounds are realized by the path they extend, in search order, then by the
     last leg's (line, board pos, alight pos, walk).  The ranking keeps that
     order among equal (cost, legs, identity), as on a line visiting a stop twice.
+    One sort files them all by (dest * span + bound) * n_codes + code, span the
+    largest bound plus 1 and n_codes = len(nodes) * len(index.steps): an int64
+    key, or a Python int when len(index.walk) * span * n_codes reaches 2**63.
     """
 
     by_dest: list[array]
@@ -240,36 +246,55 @@ def _search_origin(index: _NetworkIndex, origin: int) -> _SkeletonCache:
     lines, the first leg boards exactly at the origin, and no leg alights at
     a stop boarded before (so none boards at its destination).  A path is a
     skeleton of its last alighting stop unless an earlier leg alighted there:
-    a route ends at its destination.
+    a route ends at its destination.  Paths one leg short of MAX_LEGS get
+    their last legs at once, by the masks' rule written on stop indices.
     """
     entries, n_entries = index.entries, len(index.steps)
     found = array("q")  # node * n_entries + last entry id, per skeleton
     nodes, bounds = [()], [0]  # per node: its path's entry ids, its bound
+    last: list = []  # like the stack's, for each path one leg short of MAX_LEGS
     # (arrival state, node of the path, boarded mask, alighted mask)
     stack: list = [(origin, 0, 0, 0)]
     while stack:
         state, node, boarded, alighted = stack.pop()
         path, bound = nodes[node], bounds[node]
-        extend = len(path) < MAX_LEGS - 1
         code = node * n_entries
+        deeper = stack if len(path) < MAX_LEGS - 2 else last
         for mask, add, entry, alight_bit, next_state in entries[state]:
             if boarded & mask:
                 continue
             if not alighted & alight_bit:
                 found.append(code + entry)
-            if extend:
-                stack.append((next_state, len(nodes), boarded | mask ^ alight_bit,
-                              alighted | alight_bit))
-                nodes.append(path + (entry,))
-                bounds.append(bound + add)
+            deeper.append((next_state, len(nodes), boarded | mask ^ alight_bit,
+                           alighted | alight_bit))
+            nodes.append(path + (entry,))
+            bounds.append(bound + add)
+    state, node, *legs = np.array([x for s, n, *_ in last for x in (s, n, *nodes[n])],
+                                  dtype=np.int64).reshape(-1, MAX_LEGS + 1).T
+    count = np.diff(index.first_entry)[state]
+    rows = np.repeat(np.arange(len(last), dtype=np.int32), count)
+    ids = np.arange(len(rows), dtype=np.int32) + np.repeat(
+        index.first_entry[state] - np.cumsum(count, dtype=np.int32) + count, count)
+    board, alight, keep = index.board_array[ids], index.alight_array[ids], True
+    for leg in legs:
+        boarded, alighted = index.board_array[leg][rows], index.alight_array[leg][rows]
+        keep &= (board != boarded) & (alight != boarded) & (alight != alighted)
     # both factors of a code count objects held in memory, so it fits int64
-    codes = np.frombuffer(found, dtype=np.int64)
+    codes = np.concatenate((np.frombuffer(found, dtype=np.int64),
+                            (node[rows] * n_entries + ids)[keep]))
+    del rows, ids, board, alight, boarded, alighted, keep
     node, entry = np.divmod(codes, n_entries)
     dest = index.alight_array[entry]
     bound = np.array(bounds, dtype=index.add_array.dtype)[node] + index.add_array[entry]
-    order = np.lexsort((codes, bound, dest))
-    cuts = np.searchsorted(dest[order], np.arange(1, len(index.walk)))
-    by_dest = [array("q", part.tobytes()) for part in np.split(codes[order], cuts)]
+    span, n_codes = int(bound.max(initial=0)) + 1, len(nodes) * n_entries
+    dtype = object if len(index.walk) * span * n_codes >> 63 else np.int64  # see _SkeletonCache
+    key = (dest.astype(dtype) * span + bound.astype(dtype, copy=False)) * n_codes
+    key += codes.astype(dtype, copy=False)
+    ends = np.cumsum(np.bincount(dest, minlength=len(index.walk))).tolist()
+    del node, entry, dest, bound, codes
+    key.sort()
+    flat = array("q", (key % n_codes).astype(np.int64, copy=False).tobytes())
+    by_dest = [flat[a:b] for a, b in zip([0, *ends], ends)]
     return _SkeletonCache(by_dest, nodes, bounds)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from tripforge import (
     l1_mismatch,
     propose,
 )
+from tripforge import planner
 from tripforge.sampler import _BLOCK
 
 
@@ -150,6 +152,35 @@ def oracle_enumerate_routes(net, triple, max_legs: int = 3) -> list[Route]:
     ]
     keyed.sort(key=lambda x: (x[0], x[1], x[2]))
     return [r for _, _, _, r in keyed]
+
+
+def reference_search_origin(index, origin: int):
+    """`planner._search_origin`, one leg at a time: a depth-first search
+    tests every leg after every path against the path's boarded and alighted
+    stop masks, and Python's sort files each destination's codes by (bound,
+    code)."""
+    entries, n_entries = index.entries, len(index.steps)
+    found, nodes, bounds = [], [()], [0]
+    # (arrival state, node of the path, boarded mask, alighted mask)
+    stack = [(origin, 0, 0, 0)]
+    while stack:
+        state, node, boarded, alighted = stack.pop()
+        path, bound = nodes[node], bounds[node]
+        extend = len(path) < planner.MAX_LEGS - 1
+        for mask, add, entry, alight_bit, next_state in entries[state]:
+            if boarded & mask:
+                continue
+            if not alighted & alight_bit:
+                found.append(node * n_entries + entry)
+            if extend:
+                stack.append((next_state, len(nodes), boarded | mask ^ alight_bit,
+                              alighted | alight_bit))
+                nodes.append(path + (entry,))
+                bounds.append(bound + add)
+    by_dest = [array("q") for _ in index.walk]
+    for code in sorted(found, key=lambda c: (bounds[c // n_entries] + index.adds[c % n_entries], c)):
+        by_dest[index.alight_array[code % n_entries]].append(code)
+    return planner._SkeletonCache(by_dest, nodes, bounds)
 
 
 def oracle_total_error(candidate_sets, spec, assignment) -> float:

@@ -822,3 +822,35 @@ class TestParseSynthConfig:
         assert err.startswith(f"error: {path}:2: network: ")
         assert str(missing) in err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, line", [
+    ("config", 1), ("network", 3), ("demand", 2), ("trips", 2), ("targets", 4),
+])
+def test_non_utf8_file_exits_2_at_its_line(tmp_path, generated_inputs, capsys, name, line):
+    # each reader names the file and line of its first byte that is not UTF-8
+    config = tmp_path / "synth.cfg"
+    write_synth_config(config)
+    files = {**generated_inputs, "config": config,
+             "trips": generated_inputs["root"] / "day_000_working.trips"}
+    path = files[name]
+    rows = path.read_bytes().splitlines(keepends=True)
+    rows[line - 1] = b"\xff\xfe" + rows[line - 1]
+    path.write_bytes(b"".join(rows))
+    if name == "config":
+        args = ["synth", "--config", str(config)]
+    else:
+        args = ["generate", "--network", str(files["network"]), "--demand", str(files["demand"]),
+                "--targets", str(files["targets"]), "--history-dir", str(files["root"]),
+                "--iterations", "10"]
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: not UTF-8")
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_line_counts_every_line_break(tmp_path):
+    # a carriage return ends a line for the readers, so it counts here too
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"a\rb\r\nc\n\xff")
+    with pytest.raises(tfio.FormatError, match=r"cr\.txt:4: not UTF-8: byte 0xff at offset 7"):
+        tfio.read_lines(path)

@@ -28,7 +28,12 @@ from tripforge import (
 from tripforge import planner
 
 from conftest import DEG_PER_M
-from oracles import generalized_cost, oracle_enumerate_routes, transfer_walk_problems
+from oracles import (
+    generalized_cost,
+    oracle_enumerate_routes,
+    reference_search_origin,
+    transfer_walk_problems,
+)
 
 
 def grid_stop(sid, x_m, y_m=0.0):
@@ -390,9 +395,10 @@ LINE_SPANS = st.integers(5 * 3600, 9 * 3600).flatmap(
 
 
 @st.composite
-def small_networks(draw):
+def small_networks(draw, revisits=False):
     """<= 8 stops on a 5 km square and 1-4 bidirectional lines, each with its
-    own segment ride times, headway and service window."""
+    own segment ride times, headway and service window.  With `revisits` a
+    line may run on to its first stops again (s0 s1 s2 s0 s1)."""
     n_stops = draw(st.integers(3, 8))
     coord = st.floats(0.0, 5000.0, allow_nan=False)
     stops = [grid_stop(f"s{i}", draw(coord), draw(coord)) for i in range(n_stops)]
@@ -400,6 +406,8 @@ def small_networks(draw):
     for li in range(draw(st.integers(1, 4))):
         members = draw(st.lists(st.integers(0, n_stops - 1), min_size=2,
                                 max_size=min(5, n_stops), unique=True))
+        if revisits:
+            members += members[: draw(st.integers(0, len(members) - 1))]
         rides = draw(st.lists(st.integers(60, 900), min_size=len(members) - 1,
                               max_size=len(members) - 1))
         headway = draw(st.sampled_from([300, 450, 600, 900]))
@@ -439,6 +447,54 @@ class TestPlannerProperties:
             got = k_top_routes(net, triple, k=k)
             assert [r.identity for r in got] == [r.identity for r in expected]
             assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
+
+
+class TestBulkSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(small_networks(revisits=True))
+    def test_search_equals_reference_search(self, net):
+        index = net._index
+        for origin in range(len(net.stops)):
+            assert planner._search_origin(index, origin) == reference_search_origin(index, origin)
+
+    def test_keys_wider_than_int64(self):
+        # rides of 2**55 s: bounds fit int64, but (dest, bound, code) packed
+        # into one sort key does not, so the search sorts keys as Python ints
+        a, b, c = (grid_stop(sid, 5000.0 * i) for i, sid in enumerate("abc"))
+        day = {"first": 6 * 3600, "last": 22 * 3600}
+        later = {"first": 2**55, "last": 2**55 + 86_400}
+        lines = [simple_line(f"{x.stop_id}{y.stop_id}", [x, y], ride_s=ride_s, **window)
+                 for p, q, ride_s, window in ((a, b, 2**55, day), (b, c, 2**55, later),
+                                              (a, c, 3 * 2**55, day))
+                 for x, y in ((p, q), (q, p))]
+        net = TransitNetwork(stops=(a, b, c), lines=tuple(lines))
+        index = net._index
+        assert index.add_array.dtype == np.int64
+        for origin in range(3):
+            assert planner._search_origin(index, origin) == reference_search_origin(index, origin)
+        triple = ODTriple(origin=a, destination=c, depart_time=7 * 3600, demand_id="w")
+        expected = oracle_enumerate_routes(net, triple)
+        got = k_top_routes(net, triple, k=5)
+        assert [r.identity for r in got] == [r.identity for r in expected]
+        assert [full_trip_time(r) for r in got] == [full_trip_time(r) for r in expected]
+        assert [[leg.line_id for leg in r.legs] for r in got] == [["ab", "bc"], ["ac"]]
+
+    def test_largest_key_just_past_int64(self):
+        # every segment rides r = (2**63 - 1) // 180 s; from s0, the key of
+        # the one skeleton to s2 (2 legs) is 2**63 + 70, though the width
+        # rule's product exceeds 2**63 by only 82
+        r = (2**63 - 1) // 180
+        s0, s1, s2 = (grid_stop(f"s{i}", 5000.0 * i) for i in range(3))
+        lines = [simple_line(f"l{i}", stops, ride_s=r, headway=1, first=0, last=0)
+                 for i, stops in enumerate(([s1, s0], [s1, s2, s0], [s0, s1]))]
+        index = TransitNetwork(stops=(s0, s1, s2), lines=tuple(lines), transfer_penalty_s=0)._index
+        cache = planner._search_origin(index, 0)
+        assert cache == reference_search_origin(index, 0)
+        span, n_codes = 2 * r + 1, len(cache.nodes) * len(index.steps)
+        assert index.add_array.dtype == np.int64
+        (code,) = cache.by_dest[2]
+        assert (2 * span + 2 * r) * n_codes + code == 2**63 + 70
+        assert 3 * span * n_codes == 2**63 + 82
 
 
 def skeleton_of(index, cache, code) -> tuple[int, tuple[int, ...]]:
